@@ -26,6 +26,8 @@ minimal under this action, comparing pairs as (a, b) tuples.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .diagram import GaleDiagram
 from .errors import CounterexampleError
 
@@ -52,6 +54,21 @@ def is_pair_canonical(pairs: list[tuple[int, int]]) -> bool:
     return all(pairs <= v for v in pair_views(pairs))
 
 
+class ShardResult(NamedTuple):
+    """Outcome of one shard: every leaf it evaluated, with the search effort.
+
+    ``leaves`` holds (labels, cofacets, vertices) per evaluated leaf, labels
+    being the front labels followed by the back labels; ``evaluated`` is
+    their number.
+    """
+
+    n: int
+    first_a: int
+    leaves: list[tuple[tuple[int, ...], int, int]]
+    nodes: int
+    evaluated: int
+
+
 def run_shard(
     k: int,
     n: int,
@@ -59,19 +76,19 @@ def run_shard(
     level: str,
     sum_cap: int,
     label_cap: int,
-    best_seed: int | None,
-    collect_leaves: bool,
-):
+    bound: int | None,
+) -> ShardResult:
     """Search the branch where the first diameter's front label is ``first_a``.
 
-    Returns (best, witnesses, leaves, nodes, evaluated).  ``witnesses`` holds
-    every leaf attaining ``best`` as a (front-labels + back-labels) tuple.
-    With ``best_seed`` None the branch-and-bound cut is off and, if
-    ``collect_leaves``, all leaves are returned for the plain enumerator.
+    With ``bound`` None every leaf of the branch is evaluated.  An int bound
+    turns on the branch-and-bound cut: subtrees whose every leaf has a gap
+    (cofacets - vertices) above the bound are skipped, and an evaluated leaf
+    with a smaller gap lowers the bound to it.  Leaves whose gap is at most
+    the final bound are never cut.
     """
     p = k + 1
     want_minimal = level in ("minimal", "extremal")
-    nonzero = level == "extremal"
+    adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
     two_n = 2 * n
 
     av = [0] * n  # front labels a_t
@@ -79,58 +96,37 @@ def run_shard(
     codes = [0] * n  # (a, b) encoded as a * K + b for fast lexicographic compares
     K = label_cap + 1
 
-    best = best_seed
-    witnesses: list[tuple[int, ...]] = []
+    best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
     nodes = 0
-    evaluated = 0
-
-    if first_a > label_cap:
-        return best, witnesses, leaves, nodes, evaluated
 
     def leaf(f_run: int, s_run: int) -> None:
-        nonlocal best, evaluated
-        # adjacency across the half boundary (positions n-1|n and 2n-1|0)
-        if av[n - 1] + bv[0] == 0 or bv[n - 1] + av[0] == 0:
-            return
-        if nonzero and (av[n - 1] + bv[0] < 2 or bv[n - 1] + av[0] < 2):
-            return
-        sa = sum(av)
-        sb = sum(bv)
-        pa = 0
-        pb = 0
-        sums = [0] * two_n
-        for i in range(n):
-            w_front = (sa - pa - av[i]) + pb
-            w_back = (sb - pb - bv[i]) + pa
-            if w_front < p or w_back < p:
-                return
-            sums[i] = w_front
-            sums[i + n] = w_back
-            pa += av[i]
-            pb += bv[i]
+        nonlocal best
+        # adjacency and semicircle mass are already settled by the floors at
+        # t = n-1; what is left needs the whole sequence
         if not is_pair_canonical(list(zip(av, bv))):
             return
+        labels = av + bv
         if want_minimal:
-            labels = av + bv
+            sa = sum(av)
+            sb = sum(bv)
+            pa = 0
+            pb = 0
+            sums = [0] * two_n  # sums[i]: the open semicircle clockwise of position i
+            for i in range(n):
+                sums[i] = (sa - pa - av[i]) + pb
+                sums[i + n] = (sb - pb - bv[i]) + pa
+                pa += av[i]
+                pb += bv[i]
             for i in range(two_n):
                 if labels[i] and min(sums[(i - t) % two_n] for t in range(1, n)) > p:
                     return  # label i could be decremented: not minimal
-        evaluated += 1
-        diff = f_run - s_run
-        if diff < 0:
-            raise CounterexampleError(
-                GaleDiagram(n=n, labels=tuple(av + bv)), f_run, s_run
-            )
-        if collect_leaves:
-            leaves.append((tuple(av + bv), f_run, s_run))
-        if best is None:
-            return
-        if diff < best:
-            best = diff
-            witnesses.clear()
-        if diff == best:
-            witnesses.append(tuple(av + bv))
+        gap = f_run - s_run
+        if gap < 0:
+            raise CounterexampleError(GaleDiagram(n=n, labels=tuple(labels)), f_run, s_run)
+        leaves.append((tuple(labels), f_run, s_run))
+        if best is not None and gap < best:
+            best = gap
 
     def dfs(
         t: int,
@@ -172,26 +168,23 @@ def run_shard(
             return
 
         d0c = codes[0]
-        a_lo = 0
-        b_base = 0
-        if av[t - 1] == 0:
-            a_lo = 1
-        if bv[t - 1] == 0:
-            b_base = 1
-        if nonzero:
-            if 2 - av[t - 1] > a_lo:
-                a_lo = 2 - av[t - 1]
-            if 2 - bv[t - 1] > b_base:
-                b_base = 2 - bv[t - 1]
+        # a_t follows a_{t-1} and b_t follows b_{t-1} around the polygon
+        a_lo = adj - av[t - 1] if av[t - 1] < adj else 0
+        b_base = adj - bv[t - 1] if bv[t - 1] < adj else 0
         if t == n - 1:
             # the two semicircles that avoid the last diameter are settled
             if sa < p or sb < p:
                 return
-            # those through its positions receive no future mass either
+            # the rest get no mass after this diameter: these floors bring them to p
             if d_front > a_lo:
                 a_lo = d_front
             if d_back > b_base:
                 b_base = d_back
+            # a_{n-1} precedes b_0 and b_{n-1} precedes a_0 across the half boundary
+            if adj - bv[0] > a_lo:
+                a_lo = adj - bv[0]
+            if adj - av[0] > b_base:
+                b_base = adj - av[0]
 
         # lexicographic floors from rotations still tied with the identity
         r1 = d0c
@@ -330,7 +323,4 @@ def run_shard(
             [],
             [0] if a0 == b0 else [],
         )
-    av[0] = 0
-    bv[0] = 0
-    codes[0] = 0
-    return best, witnesses, leaves, nodes, evaluated
+    return ShardResult(n, first_a, leaves, nodes, len(leaves))

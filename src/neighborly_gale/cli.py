@@ -60,13 +60,17 @@ def _parse_pair(text: str) -> VFPair:
 
 
 def _default_jobs() -> int:
+    """Worker count from ``NEIGHBORLY_GALE_JOBS``, 1 when unset or empty."""
     env = os.environ.get("NEIGHBORLY_GALE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ParameterError(f"NEIGHBORLY_GALE_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta3", help="minimum of cofacets - vertices for one k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prune", choices=PRUNE_LEVELS, default="extremal")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--emit-all", action="store_true", help="keep every optimal witness")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write witnesses as JSON lines to this file")
@@ -128,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="search vs closed form plus golden diagrams")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--prune", choices=PRUNE_LEVELS, default="extremal")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
 
     return parser
 
@@ -296,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        if getattr(args, "jobs", 1) is None:  # delta3 or verify without --jobs
+            args.jobs = _default_jobs()
         return _HANDLERS[args.command](args, sys.stdout)
     except CounterexampleError as exc:
         sys.stderr.write(

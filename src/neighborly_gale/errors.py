@@ -40,3 +40,7 @@ class CounterexampleError(DiagramError):
             f"diagram with {cofacets} cofacets but {vertices} vertices: "
             f"n={diagram.n} labels={list(diagram.labels)} center={diagram.center}"
         )
+
+    def __reduce__(self):
+        # rebuild from the fields, so the error crosses process boundaries
+        return type(self), (self.diagram, self.cofacets, self.vertices)

@@ -14,14 +14,15 @@ per dihedral class, over spaces restricted by three prune levels:
 The minimum itself is computed exactly with a branch-and-bound cut that only
 uses label-monotonicity of the cofacet count: a prefix whose cofacets already
 exceed best + (max possible vertex count) cannot complete to an improvement.
-Subtrees that could still tie the best value are never cut while tied
-witnesses are wanted.
+Subtrees that could still tie the best value are never cut, so every
+witness is found.
 """
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from multiprocessing import Pool
 
 from ._core import run_shard
@@ -120,29 +121,26 @@ def _label_cap(config: SearchConfig, n: int) -> int:
     return cap
 
 
-def _shards(config: SearchConfig) -> list[tuple[int, int]]:
-    out = []
-    for n in _n_range(config):
-        cap = _label_cap(config, n)
-        if cap < 0:
-            continue
-        for first in range(0, cap + 1):
-            out.append((n, first))
-    return out
+def _shard_args(config: SearchConfig, bound: int | None) -> list[tuple]:
+    """``run_shard`` arguments of every shard (n, a0) of the space, in stream order."""
+    sum_cap = _sum_cap(config)
+    return [
+        (config.k, n, first, config.prune_level, sum_cap, _label_cap(config, n), bound)
+        for n in _n_range(config)
+        for first in range(_label_cap(config, n) + 1)
+    ]
 
 
-def _seed_gap(k: int) -> int:
-    """Gap of the 4-gon diagram with all labels k+1; always inside the space."""
+def _seed_gap(k: int, sum_cap: int) -> int | None:
+    """Gap of the 4-gon diagram with all labels k+1, or None if the sum cap excludes it.
+
+    Inside the space the 4-gon is a leaf at every prune level, so a bound
+    seeded with its gap never cuts a minimizer.
+    """
+    if sum_cap < 4 * (k + 1):
+        return None
     square = GaleDiagram(n=2, labels=(k + 1,) * 4)
     return count_cofacets(square) - square.vertex_count
-
-
-def _shard_task(args):
-    (k, n, first, level, sum_cap, label_cap, seed) = args
-    best, wits, _, nodes, evaluated = run_shard(
-        k, n, first, level, sum_cap, label_cap, seed, False
-    )
-    return best, wits, n, nodes, evaluated
 
 
 def enumerate_diagrams(config: SearchConfig):
@@ -152,14 +150,9 @@ def enumerate_diagrams(config: SearchConfig):
     branch-and-bound cut is applied: this is the full stream, which grows
     very quickly with k at the marcus level.
     """
-    sum_cap = _sum_cap(config)
-    for n, first in _shards(config):
-        _, _, shard_leaves, _, _ = run_shard(
-            config.k, n, first, config.prune_level, sum_cap,
-            _label_cap(config, n), None, True,
-        )
-        for labels, _, _ in shard_leaves:
-            yield canonical_form(GaleDiagram(n=n, labels=labels))
+    for shard in starmap(run_shard, _shard_args(config, None)):
+        for labels, _, _ in shard.leaves:
+            yield canonical_form(GaleDiagram(n=shard.n, labels=labels))
 
 
 def find_delta3(config: SearchConfig) -> SearchResult:
@@ -169,41 +162,33 @@ def find_delta3(config: SearchConfig) -> SearchResult:
     explored tree is identical under any work distribution.
     """
     start = time.monotonic()
-    sum_cap = _sum_cap(config)
-    seed = _seed_gap(config.k)
-    tasks = [
-        (config.k, n, first, config.prune_level, sum_cap, _label_cap(config, n), seed)
-        for (n, first) in _shards(config)
-    ]
-
+    tasks = _shard_args(config, _seed_gap(config.k, _sum_cap(config)))
     if config.jobs > 1:
         with Pool(processes=config.jobs) as pool:
-            outcomes = pool.map(_shard_task, tasks)
+            shards = pool.starmap(run_shard, tasks)
     else:
-        outcomes = [_shard_task(t) for t in tasks]
+        shards = list(starmap(run_shard, tasks))
 
-    best = None
-    found: list[GaleDiagram] = []
-    nodes = 0
-    evaluated = 0
-    for shard_best, wits, n, shard_nodes, shard_eval in outcomes:
-        nodes += shard_nodes
-        evaluated += shard_eval
-        if not wits:
-            continue
-        if best is None or shard_best < best:
-            best = shard_best
-            found = [canonical_form(GaleDiagram(n=n, labels=w)) for w in wits]
-        elif shard_best == best:
-            found.extend(canonical_form(GaleDiagram(n=n, labels=w)) for w in wits)
-
-    if best is None:
+    gaps = [f - v for shard in shards for _, f, v in shard.leaves]
+    if not gaps:
         raise ParameterError("empty search space; nothing to minimize")
-
-    found.sort(key=lambda d: (d.n, d.labels))
+    best = min(gaps)
+    found = sorted(
+        (
+            canonical_form(GaleDiagram(n=shard.n, labels=labels))
+            for shard in shards
+            for labels, f, v in shard.leaves
+            if f - v == best
+        ),
+        key=lambda d: (d.n, d.labels),
+    )
     if not config.emit_all:
         found = found[:1]
-    stats = SearchStats(nodes=nodes, evaluated=evaluated, wall_time=time.monotonic() - start)
+    stats = SearchStats(
+        nodes=sum(shard.nodes for shard in shards),
+        evaluated=sum(shard.evaluated for shard in shards),
+        wall_time=time.monotonic() - start,
+    )
     return SearchResult(
         k=config.k,
         prune_level=config.prune_level,

@@ -207,3 +207,11 @@ class TestUsage:
         code, out, _ = run(capsys, "delta3", "--k", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["delta3"] == 4
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_jobs_env_must_be_positive_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NEIGHBORLY_GALE_JOBS", value)
+        code, out, err = run(capsys, "delta3", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert "NEIGHBORLY_GALE_JOBS" in err

@@ -1,6 +1,8 @@
 """Search space enumeration, symmetry breaking, and the gap minimum."""
 import io
 import json
+import pickle
+from multiprocessing import Pool
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from neighborly_gale.diagram import (
 from neighborly_gale.errors import CounterexampleError, ParameterError
 from neighborly_gale.search import (
     SearchConfig,
+    _label_cap,
+    _n_range,
     delta3_closed_form,
     enumerate_diagrams,
     find_delta3,
@@ -64,10 +68,8 @@ class TestIncrementalCount:
         checked = 0
         for n in range(2, n_hi + 1):
             for first in range(0, k + 2):
-                _, _, leaves, _, _ = run_shard(
-                    k, n, first, "marcus", 4 * (k + 1), k + 1, None, True
-                )
-                for labels, f_run, s_run in leaves:
+                shard = run_shard(k, n, first, "marcus", 4 * (k + 1), k + 1, None)
+                for labels, f_run, s_run in shard.leaves:
                     d = GaleDiagram(n, labels)
                     assert f_run == count_cofacets(d)
                     assert s_run == d.vertex_count
@@ -141,6 +143,23 @@ class TestEnumerate:
             assert all(
                 d.labels[i] + d.labels[(i - 1) % two_n] >= 2 for i in range(two_n)
             )
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_extremal_is_minimal_restricted(self, k):
+        # the extremal stream is the minimal stream cut down to adjacent
+        # sums >= 2 (half boundary included) and the extremal n and label caps
+        extremal = SearchConfig(k=k, prune_level="extremal")
+        n_hi = _n_range(extremal)[-1]
+        expected = {
+            (d.n, d.labels)
+            for d in enumerate_diagrams(
+                SearchConfig(k=k, prune_level="minimal", n_max=n_hi)
+            )
+            if max(d.labels) <= _label_cap(extremal, d.n)
+            and all(d.labels[i - 1] + d.labels[i] >= 2 for i in range(2 * d.n))
+        }
+        got = {(d.n, d.labels) for d in enumerate_diagrams(extremal)}
+        assert got == expected
 
     @pytest.mark.parametrize("k,n_hi", [(2, 4), (4, 3)])
     def test_stream_matches_brute_force_small(self, k, n_hi):
@@ -227,6 +246,21 @@ class TestFindDelta3:
         assert best == result.delta3
         assert {(w.n, w.labels) for w in result.witnesses} == optima
 
+    @pytest.mark.parametrize("level", ["marcus", "minimal", "extremal"])
+    def test_sum_cap_below_the_square(self, level):
+        # a sum cap below 4(k+1) excludes the 4-gon that seeds the bound, so
+        # the search runs without the cut and must still find the minimum
+        config = SearchConfig(k=4, prune_level=level, sum_cap=12, emit_all=True)
+        result = find_delta3(config)
+        gaps = {
+            (d.n, d.labels): count_cofacets(d) - d.vertex_count
+            for d in enumerate_diagrams(config)
+        }
+        assert result.delta3 == min(gaps.values()) == 34
+        assert {(w.n, w.labels) for w in result.witnesses} == {
+            key for key, gap in gaps.items() if gap == 34
+        }
+
     def test_stats_populated(self):
         result = find_delta3(SearchConfig(k=2))
         assert result.stats.nodes > 0
@@ -282,3 +316,24 @@ class TestConjectureGuard:
         err = CounterexampleError(d, 3, 5)
         assert err.diagram == d
         assert "3 cofacets" in str(err)
+
+    def test_error_pickles_with_its_fields(self):
+        d = GaleDiagram(2, (3, 3, 3, 3))
+        err = pickle.loads(pickle.dumps(CounterexampleError(d, 3, 5)))
+        assert (err.diagram, err.cofacets, err.vertices) == (d, 3, 5)
+        assert "3 cofacets" in str(err)
+
+    def test_error_reaches_parent_from_pool_worker(self):
+        # an error that cannot be unpickled kills the pool's result handler
+        # and leaves the caller waiting forever; the timeout turns that into
+        # a failure
+        with Pool(processes=2) as pool:
+            pending = pool.apply_async(_raise_counterexample)
+            with pytest.raises(CounterexampleError) as info:
+                pending.get(timeout=30)
+        assert info.value.diagram == GaleDiagram(2, (3, 3, 3, 3))
+        assert (info.value.cofacets, info.value.vertices) == (3, 5)
+
+
+def _raise_counterexample():
+    raise CounterexampleError(GaleDiagram(2, (3, 3, 3, 3)), 3, 5)
