@@ -18,40 +18,35 @@ The open semicircles also factor per diameter index: the semicircle clockwise
 of position i sums a_{i+1..n-1} + b_{0..i-1}, and its antipodal mate sums
 b_{i+1..n-1} + a_{0..i-1}.
 
-The dihedral symmetries of the 2n-gon act on pair sequences as: rotate the
-sequence by j diameters and flip (swap within the pair) the wrapped-around
-entries, optionally flip every pair (the antipodal map), optionally reverse.
-The enumeration keeps exactly the sequences that are lexicographically
-minimal under this action, comparing pairs as (a, b) tuples.
+Symmetry breaking reads each image of ``diagram.dihedral_orbit`` in diameter
+order a_0, b_0, a_1, b_1, ...  That is the order the DFS assigns labels in,
+so its lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0)
+prune prefixes; the leaf keeps a sequence only if no image reads smaller.
+The public ``canonical_form`` takes the least image in position order, which
+the emitted stream is pinned to.
 """
 from __future__ import annotations
 
+from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
-from .diagram import GaleDiagram
+from .diagram import GaleDiagram, dihedral_orbit, is_minimal_cycle
 from .errors import CounterexampleError
 
 
-def pair_views(pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """All 4n dihedral images of a pair sequence."""
-    n = len(pairs)
-    flip = [(b, a) for (a, b) in pairs]
-    out = []
-    for j in range(n):
-        out.append(pairs[j:] + flip[:j])
-        out.append(flip[j:] + pairs[:j])
-    rev = pairs[::-1]
-    frev = flip[::-1]
-    for c in range(n):
-        # reflection fixing position c: d_c, d_{c-1}, .., d_0, ~d_{n-1}, .., ~d_{c+1}
-        out.append(rev[n - 1 - c :] + frev[: n - 1 - c])
-        out.append(frev[n - 1 - c :] + rev[: n - 1 - c])
-    return out
+@cache
+def _diameter_order(two_n: int) -> itemgetter:
+    """Key that reads a label cycle in diameter order: positions 0, n, 1, n+1, ..."""
+    n = two_n // 2
+    return itemgetter(*(i + h for i in range(n) for h in (0, n)))
 
 
-def is_pair_canonical(pairs: list[tuple[int, int]]) -> bool:
-    """Is the sequence the lexicographic minimum of its dihedral orbit?"""
-    return all(pairs <= v for v in pair_views(pairs))
+def is_pair_canonical(labels: tuple[int, ...]) -> bool:
+    """Is the cycle, read in diameter order, the least image of its dihedral orbit?"""
+    key = _diameter_order(len(labels))
+    first = key(labels)
+    return all(first <= key(v) for v in dihedral_orbit(labels))
 
 
 class ShardResult(NamedTuple):
@@ -89,7 +84,6 @@ def run_shard(
     p = k + 1
     want_minimal = level in ("minimal", "extremal")
     adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
-    two_n = 2 * n
 
     av = [0] * n  # front labels a_t
     bv = [0] * n  # back labels b_t
@@ -104,27 +98,15 @@ def run_shard(
         nonlocal best
         # adjacency and semicircle mass are already settled by the floors at
         # t = n-1; what is left needs the whole sequence
-        if not is_pair_canonical(list(zip(av, bv))):
+        labels = tuple(av + bv)
+        if not is_pair_canonical(labels):
             return
-        labels = av + bv
-        if want_minimal:
-            sa = sum(av)
-            sb = sum(bv)
-            pa = 0
-            pb = 0
-            sums = [0] * two_n  # sums[i]: the open semicircle clockwise of position i
-            for i in range(n):
-                sums[i] = (sa - pa - av[i]) + pb
-                sums[i + n] = (sb - pb - bv[i]) + pa
-                pa += av[i]
-                pb += bv[i]
-            for i in range(two_n):
-                if labels[i] and min(sums[(i - t) % two_n] for t in range(1, n)) > p:
-                    return  # label i could be decremented: not minimal
+        if want_minimal and not is_minimal_cycle(labels, k):
+            return
         gap = f_run - s_run
         if gap < 0:
-            raise CounterexampleError(GaleDiagram(n=n, labels=tuple(labels)), f_run, s_run)
-        leaves.append((tuple(labels), f_run, s_run))
+            raise CounterexampleError(GaleDiagram(n=n, labels=labels), f_run, s_run)
+        leaves.append((labels, f_run, s_run))
         if best is not None and gap < best:
             best = gap
 

@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import bounds as bounds_mod
 from .constructions import EXAMPLE_BUILDERS, VFPair, join, pyramid, recursive_family
@@ -162,13 +163,13 @@ def _cmd_delta3(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ParameterError(f"--limit must be >= 0, got {args.limit}")
     config = SearchConfig(k=args.k, prune_level=args.prune)
     sink = open(args.out, "w", encoding="utf-8") if args.out else out
     try:
-        for count, diagram in enumerate(enumerate_diagrams(config), start=1):
+        for diagram in islice(enumerate_diagrams(config), args.limit):
             sink.write(json.dumps(diagram.to_json()) + "\n")
-            if args.limit is not None and count >= args.limit:
-                break
     finally:
         if args.out:
             sink.close()

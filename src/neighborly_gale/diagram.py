@@ -8,6 +8,7 @@ total count equals the facet count of the encoded polytope.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DegenerateDiagramError, InvalidMoveError, ParameterError
@@ -56,12 +57,15 @@ class GaleDiagram:
     @classmethod
     def from_json(cls, obj: dict) -> "GaleDiagram":
         try:
-            n = int(obj["n"])
-            center = int(obj.get("center", 0))
-            labels = [int(x) for x in obj["labels"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            n = obj["n"]
+            center = obj.get("center", 0)
+            labels = tuple(obj["labels"])
+        except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed diagram object: {exc}") from exc
-        return cls(n=n, labels=tuple(labels), center=center)
+        # exact type: a float would be truncated and a bool is an int subclass
+        if any(type(x) is not int for x in (n, center, *labels)):
+            raise ParameterError("diagram n, center and labels must be integers")
+        return cls(n=n, labels=labels, center=center)
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,13 @@ def semicircle_sums(diagram: GaleDiagram) -> list[int]:
 
     Entry i is the sum over positions i+1 .. i+n-1 (mod 2n).
     """
-    n = diagram.n
-    labels = diagram.labels
-    two_n = 2 * n
+    return _cycle_semicircle_sums(diagram.labels)
+
+
+def _cycle_semicircle_sums(labels: tuple[int, ...]) -> list[int]:
+    """``semicircle_sums`` of a bare label cycle of length 2n."""
+    two_n = len(labels)
+    n = two_n // 2
     current = sum(labels[1:n])
     out = [current]
     for i in range(1, two_n):
@@ -341,10 +349,14 @@ def is_minimal(diagram: GaleDiagram, k: int) -> bool:
     """True iff decrementing any positive label breaks k-neighborliness."""
     if not is_k_neighborly(diagram, k):
         raise ParameterError("is_minimal requires a k-neighborly diagram")
-    n = diagram.n
-    two_n = 2 * n
-    labels = diagram.labels
-    sums = semicircle_sums(diagram)
+    return is_minimal_cycle(diagram.labels, k)
+
+
+def is_minimal_cycle(labels: tuple[int, ...], k: int) -> bool:
+    """``is_minimal`` of a bare label cycle, which must already be k-neighborly."""
+    two_n = len(labels)
+    n = two_n // 2
+    sums = _cycle_semicircle_sums(labels)
     for i in range(two_n):
         if labels[i] == 0:
             continue
@@ -355,15 +367,16 @@ def is_minimal(diagram: GaleDiagram, k: int) -> bool:
     return True
 
 
-def dihedral_orbit(labels: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All rotations and reflections of a label cycle."""
+def dihedral_orbit(labels: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All rotations and reflections of a label cycle, generated lazily."""
     two_n = len(labels)
     doubled = labels + labels
     reflected = labels[::-1]
     doubled_r = reflected + reflected
-    orbit = [doubled[r : r + two_n] for r in range(two_n)]
-    orbit += [doubled_r[r : r + two_n] for r in range(two_n)]
-    return orbit
+    for r in range(two_n):
+        yield doubled[r : r + two_n]
+    for r in range(two_n):
+        yield doubled_r[r : r + two_n]
 
 
 def canonical_form(diagram: GaleDiagram) -> GaleDiagram:

@@ -26,6 +26,7 @@ from itertools import starmap
 from multiprocessing import Pool
 
 from ._core import run_shard
+from .constructions import build_example1
 from .diagram import GaleDiagram, canonical_form, count_cofacets
 from .errors import ParameterError
 
@@ -139,7 +140,7 @@ def _seed_gap(k: int, sum_cap: int) -> int | None:
     """
     if sum_cap < 4 * (k + 1):
         return None
-    square = GaleDiagram(n=2, labels=(k + 1,) * 4)
+    square = build_example1(k)
     return count_cofacets(square) - square.vertex_count
 
 

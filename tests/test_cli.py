@@ -166,6 +166,17 @@ class TestEnumerate:
         for line in lines:
             GaleDiagram.from_json(json.loads(line))
 
+    def test_stream_limit_zero_prints_nothing(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--k", "2", "--limit", "0")
+        assert code == 0
+        assert out == ""
+
+    def test_stream_negative_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--k", "2", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
+
     def test_stream_to_file(self, capsys, tmp_path):
         target = tmp_path / "stream.jsonl"
         code, _, _ = run(

@@ -71,6 +71,20 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             GaleDiagram.from_json({"n": 3, "center": 0, "labels": [1, 1, 1, 1]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2.7, "labels": [2.9, 1, 1, 1]},
+            {"n": 2, "labels": [2.0, 1, 1, 1]},
+            {"n": 2, "center": 1.5, "labels": [1, 1, 1, 1]},
+            {"n": 2, "labels": [True, 1, 1, 1]},
+            {"n": "2", "labels": [1, 1, 1, 1]},
+        ],
+    )
+    def test_json_rejects_non_integers(self, obj):
+        with pytest.raises(ParameterError):
+            GaleDiagram.from_json(obj)
+
 
 class TestSemicircleSums:
     def test_width_one_windows(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neighborly_gale._core import is_pair_canonical, pair_views
+from neighborly_gale._core import is_pair_canonical
 from neighborly_gale.diagram import (
     GaleDiagram,
     canonical_form,
@@ -80,36 +80,21 @@ class TestIncrementalCount:
 class TestPairSymmetry:
     @given(
         st.integers(2, 5).flatmap(
-            lambda n: st.lists(
-                st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                min_size=n,
-                max_size=n,
-            )
+            lambda n: st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)
         )
     )
-    def test_exactly_one_canonical_member_per_orbit(self, pairs):
-        orbit = {tuple(v) for v in pair_views(pairs)}
-        assert sum(1 for v in orbit if is_pair_canonical(list(v))) == 1
+    def test_exactly_one_canonical_member_per_orbit(self, labels):
+        labels = tuple(labels)
+        n = len(labels) // 2
+        orbit = set(dihedral_orbit(labels))
+        accepted = [v for v in orbit if is_pair_canonical(v)]
+        # the accepted member is the least image read as a diameter pair sequence
+        assert accepted == [min(orbit, key=lambda v: list(zip(v[:n], v[n:])))]
 
-    @given(
-        st.integers(2, 5).flatmap(
-            lambda n: st.lists(
-                st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    )
-    def test_pair_views_match_position_orbit(self, pairs):
-        # the diameter-coordinate group action and the position-cycle group
-        # action are the same group seen in different coordinates
-        def flatten(view):
-            return tuple(a for a, _ in view) + tuple(b for _, b in view)
-
-        from_pairs = {flatten(v) for v in pair_views(pairs)}
-        labels = flatten(pairs)
-        from_positions = set(dihedral_orbit(labels))
-        assert from_pairs == from_positions
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_orbit_of_distinct_labels_is_complete(self, n):
+        labels = tuple(range(2 * n))
+        assert len(set(dihedral_orbit(labels))) == 4 * n
 
 
 class TestEnumerate:
@@ -161,8 +146,9 @@ class TestEnumerate:
         got = {(d.n, d.labels) for d in enumerate_diagrams(extremal)}
         assert got == expected
 
+    @pytest.mark.parametrize("level", ["marcus", "minimal"])
     @pytest.mark.parametrize("k,n_hi", [(2, 4), (4, 3)])
-    def test_stream_matches_brute_force_small(self, k, n_hi):
+    def test_stream_matches_brute_force_small(self, k, n_hi, level):
         from itertools import product
 
         expected = set()
@@ -178,12 +164,12 @@ class TestEnumerate:
                 d = GaleDiagram(n, labels)
                 if not is_k_neighborly(d, k):
                     continue
+                if level == "minimal" and not is_minimal(d, k):
+                    continue
                 expected.add((n, canonical_form(d).labels))
         got = {
             (d.n, d.labels)
-            for d in enumerate_diagrams(
-                SearchConfig(k=k, prune_level="marcus", n_max=n_hi)
-            )
+            for d in enumerate_diagrams(SearchConfig(k=k, prune_level=level, n_max=n_hi))
         }
         assert got == expected
 
