@@ -18,12 +18,25 @@ The open semicircles also factor per diameter index: the semicircle clockwise
 of position i sums a_{i+1..n-1} + b_{0..i-1}, and its antipodal mate sums
 b_{i+1..n-1} + a_{0..i-1}.
 
+At the ``minimal`` and ``extremal`` levels every node, the leaf included,
+runs ``diagram.is_minimal_cycle`` on the labels assigned so far, with the
+unassigned diameters read as 0.  Later diameters only add semicircle mass,
+so a label that can already be decremented stays decrementable in every
+completion, and the whole subtree is cut.  An inner node whose assigned
+front and back masses are both at most k+1 skips the test, which cannot
+fail there.
+
 Symmetry breaking reads each image of ``diagram.dihedral_orbit`` in diameter
 order a_0, b_0, a_1, b_1, ...  That is the order the DFS assigns labels in,
 so its lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0)
 prune prefixes; the leaf keeps a sequence only if no image reads smaller.
-The public ``canonical_form`` takes the least image in position order, which
-the emitted stream is pinned to.
+An image can only tie or win if it starts at a least label, so the leaf
+rejects a cycle whose first label is not least and compares only the images
+that start at a label equal to it.  Which positions an image reads, and in
+what order, is a table per cycle length built by applying
+``dihedral_orbit`` to the positions themselves.  The public
+``canonical_form`` takes the least image in position order, which the
+emitted stream is pinned to.
 """
 from __future__ import annotations
 
@@ -36,17 +49,29 @@ from .errors import CounterexampleError
 
 
 @cache
-def _diameter_order(two_n: int) -> itemgetter:
-    """Key that reads a label cycle in diameter order: positions 0, n, 1, n+1, ..."""
+def _images(two_n: int) -> tuple[tuple[int, itemgetter], ...]:
+    """(start, key) per image of ``dihedral_orbit``, the identity first.
+
+    ``start`` is the position the image starts at, and ``key`` reads a label
+    cycle as that image in diameter order (positions 0, n, 1, n+1, ...).
+    """
     n = two_n // 2
-    return itemgetter(*(i + h for i in range(n) for h in (0, n)))
+    order = [i + h for i in range(n) for h in (0, n)]
+    table = []
+    for image in dihedral_orbit(tuple(range(two_n))):
+        read = [image[i] for i in order]
+        table.append((read[0], itemgetter(*read)))
+    return tuple(table)
 
 
 def is_pair_canonical(labels: tuple[int, ...]) -> bool:
     """Is the cycle, read in diameter order, the least image of its dihedral orbit?"""
-    key = _diameter_order(len(labels))
-    first = key(labels)
-    return all(first <= key(v) for v in dihedral_orbit(labels))
+    first = labels[0]
+    if min(labels) < first:
+        return False  # the image starting at a least label reads smaller
+    images = _images(len(labels))
+    key = images[0][1](labels)
+    return all(key <= read(labels) for start, read in images if labels[start] == first)
 
 
 class ShardResult(NamedTuple):
@@ -97,11 +122,10 @@ def run_shard(
     def leaf(f_run: int, s_run: int) -> None:
         nonlocal best
         # adjacency and semicircle mass are already settled by the floors at
-        # t = n-1; what is left needs the whole sequence
+        # t = n-1 and minimality by the node test; canonicality needs the
+        # whole sequence
         labels = tuple(av + bv)
         if not is_pair_canonical(labels):
-            return
-        if want_minimal and not is_minimal_cycle(labels, k):
             return
         gap = f_run - s_run
         if gap < 0:
@@ -125,17 +149,26 @@ def run_shard(
     ) -> None:
         nonlocal nodes
         nodes += 1
+        # diameters t.. are still 0 here (each loop below resets its own
+        # entry on exit, and every early return precedes its assignment), and
+        # later diameters only add semicircle mass: a positive label whose
+        # every containing semicircle already sums to at least k+2 can be
+        # decremented in every completion, so none of them is minimal.
+        # Before the leaf, the semicircles of positions 2n-1 and n-1 hold
+        # every assigned front and back label with masses sa and sb; if
+        # neither exceeds p, no label can be decremented yet.
+        if (
+            want_minimal
+            and (t == n or sa > p or sb > p)
+            and not is_minimal_cycle(tuple(av + bv), k)
+        ):
+            return
         if t == n:
             leaf(f_run, s_run)
             return
 
         budget = sum_cap - s_run
         slots = n - t  # unassigned diameters, this one included
-
-        if want_minimal and sa - mf > p and sb - mb > p:
-            # every semicircle already holds more than p assigned mass, so
-            # every label of every completion can be decremented
-            return
 
         # worst semicircle deficits; front deficits can only be paid with
         # future front labels and back deficits with future back labels

@@ -27,14 +27,22 @@ class GaleDiagram:
     center: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        # exact types: a float would be truncated and a bool is an int subclass
+        if (
+            type(self.n) is not int
+            or type(self.center) is not int
+            or not set(map(type, labels)) <= {int}
+        ):
+            raise ParameterError("diagram n, center and labels must be integers")
         if self.n < 2:
             raise ParameterError(f"need at least 2 diameters, got n={self.n}")
         if len(self.labels) != 2 * self.n:
             raise ParameterError(
                 f"expected {2 * self.n} labels for n={self.n}, got {len(self.labels)}"
             )
-        if any(x < 0 for x in self.labels):
+        if min(labels) < 0:
             raise ParameterError("labels must be nonnegative")
         if self.center < 0:
             raise ParameterError("center label must be nonnegative")
@@ -62,9 +70,6 @@ class GaleDiagram:
             labels = tuple(obj["labels"])
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed diagram object: {exc}") from exc
-        # exact type: a float would be truncated and a bool is an int subclass
-        if any(type(x) is not int for x in (n, center, *labels)):
-            raise ParameterError("diagram n, center and labels must be integers")
         return cls(n=n, labels=labels, center=center)
 
 
@@ -353,17 +358,29 @@ def is_minimal(diagram: GaleDiagram, k: int) -> bool:
 
 
 def is_minimal_cycle(labels: tuple[int, ...], k: int) -> bool:
-    """``is_minimal`` of a bare label cycle, which must already be k-neighborly."""
+    """True iff every positive label lies in a semicircle of mass at most k+1.
+
+    On a k-neighborly cycle this is ``is_minimal``: no label can be
+    decremented.
+    """
     two_n = len(labels)
     n = two_n // 2
     sums = _cycle_semicircle_sums(labels)
-    for i in range(two_n):
-        if labels[i] == 0:
-            continue
-        # decrementing i keeps property N iff every semicircle containing i
-        # has slack, i.e. sums to at least k+2
-        if all(sums[(i - t) % two_n] >= k + 2 for t in range(1, n)):
+    tight = k + 1
+    # decrementing i keeps property N iff every semicircle containing i has
+    # slack.  Those are the semicircles of positions i-n+1 .. i-1, so i can
+    # be decremented iff the last tight one before i is at least n back.
+    for j in range(two_n - 1, -1, -1):
+        if sums[j] <= tight:
+            last = j - two_n  # the last tight semicircle before position 0
+            break
+    else:
+        return not any(labels)
+    for i, x in enumerate(labels):
+        if x and i - last >= n:
             return False
+        if sums[i] <= tight:
+            last = i
     return True
 
 

@@ -6,7 +6,9 @@ per dihedral class, over spaces restricted by three prune levels:
 * ``marcus``   -- labels at most k+1, label sum at most 4(k+1), any number of
   diameters up to the sum cap, properties P2/P3 enforced.  This is the
   correctness baseline; it provably contains a gap-minimizing diagram.
-* ``minimal``  -- marcus plus minimality (no label can be decremented).
+* ``minimal``  -- marcus plus minimality (no label can be decremented),
+  tested at every node of the search: a label that can be decremented in
+  a prefix can be decremented in every completion, so the subtree is cut.
 * ``extremal`` -- minimal plus the local structure a gap-minimizing diagram
   must have: adjacent label sums at least 2, and tighter per-n label and
   diameter-count caps.  Justified for optima only.

@@ -11,6 +11,7 @@ from neighborly_gale.diagram import (
     displace,
     is_k_neighborly,
     is_minimal,
+    is_minimal_cycle,
     list_cofacets,
     reduce,
     semicircle_sums,
@@ -53,6 +54,21 @@ class TestConstruction:
             GaleDiagram(2, (1, -1, 1, 1))
         with pytest.raises(ParameterError):
             GaleDiagram(2, (1, 1, 1, 1), center=-1)
+
+    @pytest.mark.parametrize(
+        "n,labels,center",
+        [
+            (2, (2.9, 1, 1, 1), 0),
+            (2.0, (1, 1, 1, 1), 0),
+            (2, (1, 1, 1, 1), 0.5),
+            (2, (True, 1, 1, 1), 0),
+            (2, (1, 1, 1, 1), False),
+        ],
+    )
+    def test_rejects_non_integers(self, n, labels, center):
+        # a float would be truncated and a bool is an int subclass
+        with pytest.raises(ParameterError):
+            GaleDiagram(n, labels, center=center)
 
     def test_label_wraparound(self):
         d = GaleDiagram(2, (5, 6, 7, 8))
@@ -330,6 +346,24 @@ class TestMinimality:
                 by_definition = False
                 break
         assert is_minimal(d, k) == by_definition
+
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda n: st.tuples(*[st.integers(0, 4)] * (2 * n))
+        ),
+        st.integers(1, 5),
+    )
+    def test_cycle_rule_on_any_cycle(self, labels, k):
+        # the rule the search also applies to partial, not yet neighborly
+        # cycles: every positive label lies in a semicircle of mass <= k+1
+        two_n = len(labels)
+        n = two_n // 2
+        sums = semicircle_sums(GaleDiagram(n, labels))
+        expected = all(
+            labels[i] == 0 or any(sums[(i - t) % two_n] <= k + 1 for t in range(1, n))
+            for i in range(two_n)
+        )
+        assert is_minimal_cycle(labels, k) == expected
 
 
 class TestCanonicalForm:

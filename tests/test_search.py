@@ -5,7 +5,7 @@ import pickle
 from multiprocessing import Pool
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neighborly_gale._core import is_pair_canonical
@@ -16,6 +16,7 @@ from neighborly_gale.diagram import (
     dihedral_orbit,
     is_k_neighborly,
     is_minimal,
+    is_minimal_cycle,
     semicircle_sums,
 )
 from neighborly_gale.errors import CounterexampleError, ParameterError
@@ -77,10 +78,16 @@ class TestIncrementalCount:
         assert checked > 1000
 
 
+def diameter_order(labels):
+    """The label cycle read as a_0, b_0, a_1, b_1, ..."""
+    n = len(labels) // 2
+    return [x for pair in zip(labels[:n], labels[n:]) for x in pair]
+
+
 class TestPairSymmetry:
     @given(
-        st.integers(2, 5).flatmap(
-            lambda n: st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)
+        st.integers(2, 8).flatmap(
+            lambda n: st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n)
         )
     )
     def test_exactly_one_canonical_member_per_orbit(self, labels):
@@ -91,10 +98,92 @@ class TestPairSymmetry:
         # the accepted member is the least image read as a diameter pair sequence
         assert accepted == [min(orbit, key=lambda v: list(zip(v[:n], v[n:])))]
 
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda n: st.integers(0, 2).flatmap(
+                lambda lo: st.lists(
+                    st.integers(lo, lo + 1), min_size=2 * n, max_size=2 * n
+                )
+            )
+        )
+    )
+    def test_matches_reference_on_ties(self, labels):
+        # two-letter cycles tie on many images; the check compares only the
+        # images that start at a label equal to the first one
+        labels = tuple(labels)
+        key = diameter_order(labels)
+        expected = all(key <= diameter_order(v) for v in dihedral_orbit(labels))
+        assert is_pair_canonical(labels) == expected
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (1, 1, 1, 1),
+            (1, 2, 1, 2),
+            (1, 1, 2, 1, 1, 2),
+            (1, 2, 2, 1, 2, 2),
+            (0, 1, 0, 1, 0, 1, 0, 1),
+            (0, 1, 1, 0, 1, 1, 0, 1),
+            (1, 1, 2, 2, 1, 2, 1, 1, 2, 2),
+            (2, 1, 1, 1),
+        ],
+    )
+    def test_matches_reference_on_symmetric_cycles(self, labels):
+        key = diameter_order(labels)
+        expected = all(key <= diameter_order(v) for v in dihedral_orbit(labels))
+        assert is_pair_canonical(labels) == expected
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_orbit_of_distinct_labels_is_complete(self, n):
         labels = tuple(range(2 * n))
         assert len(set(dihedral_orbit(labels))) == 4 * n
+
+
+class TestMinimalCut:
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n),
+                st.integers(1, n),
+            )
+        ),
+        st.integers(0, 2),
+    )
+    def test_prefix_cut_is_sound(self, case, slack):
+        # the DFS tests minimality on diameters 0..t-1 with the rest read as
+        # 0; a cycle that fails there must fail once complete
+        labels, t = case
+        labels = tuple(labels)
+        n = len(labels) // 2
+        k = min(semicircle_sums(GaleDiagram(n, labels))) - 1 - slack
+        assume(k >= 1)  # labels is then k-neighborly
+        padded = tuple(x if i % n < t else 0 for i, x in enumerate(labels))
+        if not is_minimal_cycle(padded, k):
+            assert not is_minimal_cycle(labels, k)
+
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n),
+                st.integers(1, n - 1),
+            )
+        ),
+        st.integers(1, 6),
+    )
+    def test_light_prefix_is_minimal(self, case, k):
+        # the DFS skips the test on a prefix whose front and back masses are
+        # both at most k+1: it cannot fail there
+        labels, t = case
+        n = len(labels) // 2
+        padded = tuple(x if i % n < t else 0 for i, x in enumerate(labels))
+        assume(sum(padded[:n]) <= k + 1 and sum(padded[n:]) <= k + 1)
+        assert is_minimal_cycle(padded, k)
+
+    @pytest.mark.parametrize("k,n_max", [(2, None), (3, 5)])
+    def test_minimal_stream_is_filtered_marcus_stream(self, k, n_max):
+        marcus = enumerate_diagrams(SearchConfig(k=k, prune_level="marcus", n_max=n_max))
+        minimal = enumerate_diagrams(SearchConfig(k=k, prune_level="minimal", n_max=n_max))
+        assert list(minimal) == [d for d in marcus if is_minimal(d, k)]
 
 
 class TestEnumerate:
