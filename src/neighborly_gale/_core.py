@@ -18,6 +18,18 @@ The open semicircles also factor per diameter index: the semicircle clockwise
 of position i sums a_{i+1..n-1} + b_{0..i-1}, and its antipodal mate sums
 b_{i+1..n-1} + a_{0..i-1}.
 
+The branch-and-bound cut gives every child (a, b) a floor on the gap of the
+leaves below it: cofacets so far, plus the triangles that its semicircle
+deficits force future labels to close, minus the most vertices the sum cap
+allows.  For a fixed front label a the floor is convex and piecewise linear
+in b, a sum of affine terms and of maxima of affine terms with nonnegative
+weights, so its minimum over the admissible b lies at an end of the range
+or at one of its two kinks.  The search evaluates it there once per a and
+skips the whole a when even that minimum exceeds the best gap.  In the b
+loop, a cut at or past the least minimiser ends the loop: the floor does
+not fall from there on, and the best gap never rises.  Both steps skip only
+children the per-child test would cut, so the tree searched is unchanged.
+
 At the ``minimal`` and ``extremal`` levels every node, the leaf included,
 runs ``diagram.is_minimal_cycle`` on the labels assigned so far, with the
 unassigned diameters read as 0.  Later diameters only add semicircle mass,
@@ -133,6 +145,21 @@ def run_shard(
         leaves.append((labels, f_run, s_run))
         if best is not None and gap < best:
             best = gap
+
+    def excess(b: int, base: int, slope: int, nxb: int, kink: int, s0: int) -> int:
+        """Floor on the gap of every leaf below child (a, b).
+
+        The coefficients are fixed per front label a; ``dfs`` derives them
+        and shows why the floor is convex in b.
+        """
+        d = kink - b
+        s = s0 + b
+        return (
+            base
+            + slope * b
+            + (d * nxb if d > 0 else 0)
+            - (s if s < sum_cap else sum_cap)
+        )
 
     def dfs(
         t: int,
@@ -258,6 +285,43 @@ def run_shard(
             if b_lo > b_cap:
                 continue
             f_a = f_run + a * xa  # a closes front-front-back triangles
+            nxb = xb + a * sb
+            if best is not None:
+                # Every leaf below child (a, b) has gap at least
+                #   excess(b) = f_child + dfr * nxa + dbr * nxb - s_max,
+                # dfr, dbr being the front and back deficits left after the
+                # child, clamped at 0: they force future front and back
+                # mass, and xa/xb only grow, so every forced front (back)
+                # unit closes at least nxa (nxb) triangles; s_max caps the
+                # vertex count.  For this a, as functions of b:
+                #   f_child = f_a + (a + xb) b and nxa = xa + sa b are affine,
+                #   dfr and nxb >= 0 are constant,
+                #   dbr = max(0, p - sa, p - sb + mb - b) is convex,
+                #   -s_max = max(-sum_cap, -(s0 + b)) is convex,
+                # with s0 = s_run + a + 2 label_cap (slots - 1).  So excess
+                # is convex and piecewise linear with integer kinks at
+                # b = kink and b = sum_cap - s0; its least minimiser b_star
+                # on [b_lo, b_cap] is an end or a kink.
+                dfr = p - sa - a + mf
+                if dfr < p - sb:
+                    dfr = p - sb
+                if dfr < 0:
+                    dfr = 0
+                e0 = p - sa if p > sa else 0
+                kink = p - sb + mb - e0
+                base = f_a + dfr * xa + e0 * nxb
+                slope = a + xb + dfr * sa
+                s0 = s_run + a + (slots - 1) * 2 * label_cap
+                b_star = b_lo
+                low = excess(b_lo, base, slope, nxb, kink, s0)
+                for x in (kink, sum_cap - s0, b_cap):
+                    if b_lo < x <= b_cap:
+                        v = excess(x, base, slope, nxb, kink, s0)
+                        if v < low or (v == low and x < b_star):
+                            low = v
+                            b_star = x
+                if low > best:
+                    continue  # every b is cut
             for b in range(b_lo, b_cap + 1):
                 code = a * K + b
                 fcode = b * K + a
@@ -265,29 +329,18 @@ def run_shard(
                     continue
                 if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fd0c < code)):
                     continue
+                if best is not None and excess(b, base, slope, nxb, kink, s0) > best:
+                    # excess never falls past b_star and best never rises,
+                    # so every later b is cut too
+                    if b >= b_star:
+                        break
+                    continue
                 f_child = f_a + a * b + b * xb
                 saa = sa + a
                 sbb = sb + b
                 nmf = mf if mf >= saa - sb else saa - sb
                 nmb = mb if mb >= sbb - sa else sbb - sa
                 nxa = xa + b * sa
-                nxb = xb + a * sb
-                if best is not None:
-                    s_max = s_run + a + b + (slots - 1) * 2 * label_cap
-                    if s_max > sum_cap:
-                        s_max = sum_cap
-                    # deficits force future mass, and xa/xb only grow, so
-                    # every forced front (back) unit closes at least the
-                    # current xa (xb) triangles
-                    guaranteed = f_child
-                    dfr = p - saa + nmf
-                    if dfr > 0:
-                        guaranteed += dfr * nxa
-                    dbr = p - sbb + nmb
-                    if dbr > 0:
-                        guaranteed += dbr * nxb
-                    if guaranteed - s_max > best:
-                        continue
 
                 av[t] = a
                 bv[t] = b

@@ -135,12 +135,13 @@ def semicircle_sums(diagram: GaleDiagram) -> list[int]:
 
 def _cycle_semicircle_sums(labels: tuple[int, ...]) -> list[int]:
     """``semicircle_sums`` of a bare label cycle of length 2n."""
-    two_n = len(labels)
-    n = two_n // 2
+    n = len(labels) // 2
     current = sum(labels[1:n])
     out = [current]
-    for i in range(1, two_n):
-        current += labels[(i + n - 1) % two_n] - labels[i]
+    # from position i-1 to i, label i leaves the semicircle and label i+n-1
+    # (mod 2n) enters it: labels n .. 2n-1, then 0 .. n-2
+    for enter, leave in zip(labels[n:] + labels[: n - 1], labels[1:]):
+        current += enter - leave
         out.append(current)
     return out
 

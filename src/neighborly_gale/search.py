@@ -13,11 +13,14 @@ per dihedral class, over spaces restricted by three prune levels:
   must have: adjacent label sums at least 2, and tighter per-n label and
   diameter-count caps.  Justified for optima only.
 
-The minimum itself is computed exactly with a branch-and-bound cut that only
-uses label-monotonicity of the cofacet count: a prefix whose cofacets already
-exceed best + (max possible vertex count) cannot complete to an improvement.
-Subtrees that could still tie the best value are never cut, so every
-witness is found.
+The minimum itself is computed exactly with a branch-and-bound cut.  Each
+child diameter (a, b) gets a floor on the gap of every leaf below it: its
+cofacets, plus the triangles that its semicircle deficits force later
+labels to close, minus the most vertices the sum cap allows.  For each front
+label a the floor is convex in b, so the search tests its minimum once per
+a, skipping every b when it exceeds the best gap, and stops the b loop at
+the first cut at or past that minimum.  Subtrees that could still tie the
+best value are never cut, so every witness is found.
 """
 from __future__ import annotations
 

@@ -120,6 +120,19 @@ class TestSemicircleSums:
         ]
         assert semicircle_sums(d) == expected
 
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda n: st.lists(st.integers(0, 9), min_size=2 * n, max_size=2 * n)
+        )
+    )
+    def test_matches_direct_formula_on_random_cycles(self, labels):
+        n = len(labels) // 2
+        d = GaleDiagram(n, tuple(labels))
+        expected = [
+            sum(labels[(i + j) % (2 * n)] for j in range(1, n)) for i in range(2 * n)
+        ]
+        assert semicircle_sums(d) == expected
+
 
 class TestNeighborliness:
     def test_square_with_full_labels(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from neighborly_gale._core import is_pair_canonical
+from neighborly_gale._core import is_pair_canonical, run_shard
 from neighborly_gale.diagram import (
     GaleDiagram,
     canonical_form,
@@ -21,9 +21,13 @@ from neighborly_gale.diagram import (
 )
 from neighborly_gale.errors import CounterexampleError, ParameterError
 from neighborly_gale.search import (
+    PRUNE_LEVELS,
     SearchConfig,
     _label_cap,
     _n_range,
+    _seed_gap,
+    _shard_args,
+    _sum_cap,
     delta3_closed_form,
     enumerate_diagrams,
     find_delta3,
@@ -336,11 +340,44 @@ class TestFindDelta3:
             key for key, gap in gaps.items() if gap == 34
         }
 
+    @pytest.mark.parametrize(
+        "k,ceiling", [(2, 1183), (3, 3958), (4, 10570), (5, 26301), (6, 57310)]
+    )
+    def test_marcus_node_ceiling(self, k, ceiling):
+        # stronger cuts may lower these counts; none may raise them
+        result = find_delta3(SearchConfig(k=k, prune_level="marcus"))
+        assert result.stats.nodes <= ceiling
+
     def test_stats_populated(self):
         result = find_delta3(SearchConfig(k=2))
         assert result.stats.nodes > 0
         assert result.stats.evaluated >= 1
         assert result.stats.wall_time >= 0
+
+
+class TestBoundCut:
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cut_keeps_every_leaf_within_the_final_bound(self, k, level):
+        # the cut (the per-front-label floor and the b-loop break included)
+        # may drop only leaves whose gap exceeds the bound the shard ends
+        # with: the start bound lowered by its best leaf
+        config = SearchConfig(k=k, prune_level=level)
+        value = delta3_closed_form(k)
+        bounds = {value, value + 1, value + 5, _seed_gap(k, _sum_cap(config))}
+        for args in _shard_args(config, None):
+            full = run_shard(*args)
+            every = set(full.leaves)
+            gaps = [f - v for _, f, v in full.leaves]
+            for bound in bounds:
+                cut = run_shard(*args[:-1], bound)
+                final = min([bound, *gaps])
+                kept = set(cut.leaves)
+                assert kept <= every
+                assert {
+                    leaf for leaf, gap in zip(full.leaves, gaps) if gap <= final
+                } <= kept, (args, bound)
+                assert cut.nodes <= full.nodes
 
 
 class TestVerifyTheorem1:
@@ -362,6 +399,12 @@ class TestVerifyTheorem1:
         result = find_delta3(SearchConfig(k=7, prune_level="extremal", emit_all=True))
         assert result.delta3 == delta3_closed_form(7) == 96
         assert GaleDiagram(2, (8, 8, 8, 8)) in result.witnesses
+
+    def test_k7_marcus(self):
+        # the provably complete level: Theorem 1's value and its only witness
+        result = find_delta3(SearchConfig(k=7, prune_level="marcus", emit_all=True))
+        assert result.delta3 == delta3_closed_form(7) == 96
+        assert result.witnesses == (GaleDiagram(2, (8, 8, 8, 8)),)
 
 
 class TestResultSerialization:
