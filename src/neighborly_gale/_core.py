@@ -46,9 +46,9 @@ An image can only tie or win if it starts at a least label, so the leaf
 rejects a cycle whose first label is not least and compares only the images
 that start at a label equal to it.  Which positions an image reads, and in
 what order, is a table per cycle length built by applying
-``dihedral_orbit`` to the positions themselves.  The public
-``canonical_form`` takes the least image in position order, which the
-emitted stream is pinned to.
+``dihedral_orbit`` to the positions themselves.  The emitted stream is
+pinned to the other order on the same orbit: ``diagram.least_image``, the
+least image in position order, which ``canonical_form`` wraps.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from itertools import islice
 from . import bounds as bounds_mod
 from .constructions import EXAMPLE_BUILDERS, VFPair, join, pyramid, recursive_family
 from .diagram import GaleDiagram, count_cofacets, validate
-from .errors import CounterexampleError, DiagramError, ParameterError
+from .errors import CounterexampleError, DiagramError, OracleSizeError, ParameterError
 from .oracle import oracle_count_cofacets
 from .search import (
     PRUNE_LEVELS,
@@ -317,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
             + "\n"
         )
         return CHECK_FAILED
-    except ParameterError as exc:
+    except (ParameterError, OracleSizeError) as exc:  # too big for the oracle is bad input
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except DiagramError as exc:

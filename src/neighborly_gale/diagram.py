@@ -220,36 +220,19 @@ def validate(diagram: GaleDiagram, k: int) -> ValidationReport:
 def count_cofacets(diagram: GaleDiagram) -> int:
     """Exact cofacet count: center points, complete diameters, origin triangles.
 
-    A triple (a, b, c) of ascending positions counts iff all three circular
-    gaps are strictly below n; a gap equal to n puts the center on an edge.
+    One pass in diameter order completes each triangle at its largest
+    diameter index; ``_core``'s docstring derives the recurrence.
     """
     n = diagram.n
     labels = diagram.labels
-    two_n = 2 * n
-
     total = diagram.center
-    for i in range(n):
-        total += labels[i] * labels[i + n]
-
-    # prefix[t] = labels[0] + ... + labels[t-1]
-    prefix = [0] * (two_n + 1)
-    for i, x in enumerate(labels):
-        prefix[i + 1] = prefix[i] + x
-
-    # (a, b, c) valid iff b-a <= n-1, c-b <= n-1 and c-a >= n+1; summing the
-    # c range per (a, b) via prefix sums keeps this quadratic.
-    for a in range(two_n - 1):
-        la = labels[a]
-        if la == 0:
-            continue
-        for b in range(a + 1, min(a + n, two_n)):
-            lb = labels[b]
-            if lb == 0:
-                continue
-            lo = a + n + 1
-            hi = min(b + n - 1, two_n - 1)
-            if lo <= hi:
-                total += la * lb * (prefix[hi + 1] - prefix[lo])
+    sa = sb = xa = xb = 0
+    for a, b in zip(labels[:n], labels[n:]):
+        total += a * (b + xa) + b * xb
+        xa += b * sa
+        xb += a * sb
+        sa += a
+        sb += b
     return total
 
 
@@ -386,18 +369,27 @@ def is_minimal_cycle(labels: tuple[int, ...], k: int) -> bool:
 
 
 def dihedral_orbit(labels: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All rotations and reflections of a label cycle, generated lazily."""
+    """Rotations of a label cycle, identity first, then those of its reverse; lazily."""
     two_n = len(labels)
-    doubled = labels + labels
-    reflected = labels[::-1]
-    doubled_r = reflected + reflected
-    for r in range(two_n):
-        yield doubled[r : r + two_n]
-    for r in range(two_n):
-        yield doubled_r[r : r + two_n]
+    for doubled in (labels + labels, labels[::-1] * 2):
+        for r in range(two_n):
+            yield doubled[r : r + two_n]
+
+
+def least_image(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least image of a label cycle under ``dihedral_orbit``.
+
+    The least image starts at a least label, so only the rotations of the
+    cycle and of its reverse that start there compete.
+    """
+    two_n = len(labels)
+    low = min(labels)
+    images = []
+    for doubled in (labels + labels, labels[::-1] * 2):
+        images += [doubled[i : i + two_n] for i in range(two_n) if doubled[i] == low]
+    return min(images)
 
 
 def canonical_form(diagram: GaleDiagram) -> GaleDiagram:
     """Lexicographically least label cycle over all rotations and reflections."""
-    best = min(dihedral_orbit(diagram.labels))
-    return GaleDiagram(n=diagram.n, labels=best, center=diagram.center)
+    return GaleDiagram(diagram.n, least_image(diagram.labels), diagram.center)

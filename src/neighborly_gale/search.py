@@ -32,7 +32,7 @@ from multiprocessing import Pool
 
 from ._core import run_shard
 from .constructions import build_example1
-from .diagram import GaleDiagram, canonical_form, count_cofacets
+from .diagram import GaleDiagram, canonical_form, count_cofacets, least_image
 from .errors import ParameterError
 
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
@@ -55,6 +55,10 @@ class SearchConfig:
     n_max: int | None = None
 
     def __post_init__(self):
+        # exact ints, as in GaleDiagram: floats and bools get past the range checks
+        optional = [v for v in (self.sum_cap, self.n_max) if v is not None]
+        if any(type(v) is not int for v in (self.k, self.jobs, *optional)):
+            raise ParameterError(f"k, jobs, sum_cap and n_max must be integers: {self}")
         if self.k < 2:
             raise ParameterError(f"k must be >= 2, got {self.k}")
         if self.prune_level not in PRUNE_LEVELS:
@@ -158,7 +162,7 @@ def enumerate_diagrams(config: SearchConfig):
     """
     for shard in starmap(run_shard, _shard_args(config, None)):
         for labels, _, _ in shard.leaves:
-            yield canonical_form(GaleDiagram(n=shard.n, labels=labels))
+            yield GaleDiagram(shard.n, least_image(labels))
 
 
 def find_delta3(config: SearchConfig) -> SearchResult:

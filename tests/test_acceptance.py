@@ -25,6 +25,7 @@ from neighborly_gale.diagram import (
     count_cofacets,
     displace,
     is_k_neighborly,
+    least_image,
     semicircle_sums,
 )
 from neighborly_gale.oracle import oracle_count_cofacets
@@ -212,7 +213,7 @@ def test_criterion_7_construction_arithmetic():
     )
 
 
-def test_criterion_8_conjecture_safety(theorem1_sweep):
+def test_criterion_8_conjecture_safety(theorem1_sweep, marcus_k3_shards):
     results, _ = theorem1_sweep
     worst = min(result.delta3 for result in results.values())
     assert worst >= 0
@@ -220,7 +221,17 @@ def test_criterion_8_conjecture_safety(theorem1_sweep):
     scanned = 0
     for k in (2, 3):
         for level in PRUNE_LEVELS:
-            for d in enumerate_diagrams(SearchConfig(k=k, prune_level=level)):
+            if (k, level) == (3, "marcus"):
+                # the shared unbounded shards, built into classes exactly as
+                # enumerate_diagrams builds them
+                stream = (
+                    GaleDiagram(shard.n, least_image(labels))
+                    for _, shard in marcus_k3_shards
+                    for labels, _, _ in shard.leaves
+                )
+            else:
+                stream = enumerate_diagrams(SearchConfig(k=k, prune_level=level))
+            for d in stream:
                 assert count_cofacets(d) - d.vertex_count >= 0, d
                 scanned += 1
     report(

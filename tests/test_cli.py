@@ -24,6 +24,15 @@ class TestCofacets:
         assert code == 0
         assert out.splitlines() == ["12", "oracle: 12"]
 
+    @pytest.mark.parametrize(
+        "labels", ["11,10,10,10", ",".join(["1"] * 22)], ids=["label-sum-41", "n-11"]
+    )
+    def test_oracle_guard_is_a_usage_error(self, capsys, labels):
+        # exit 1 means the counters disagree; too big for the oracle is bad input
+        code, _, err = run(capsys, "cofacets", "--labels", labels, "--oracle")
+        assert code == 2
+        assert "oracle guard" in err
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "cofacets", "--labels", "0,1,0,1,0,1,0,1,0,1,0,1,0,1",

@@ -1,6 +1,6 @@
 """Core diagram operations: counts, predicates, moves, canonicalization."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neighborly_gale.diagram import (
@@ -12,6 +12,7 @@ from neighborly_gale.diagram import (
     is_k_neighborly,
     is_minimal,
     is_minimal_cycle,
+    least_image,
     list_cofacets,
     reduce,
     semicircle_sums,
@@ -249,7 +250,7 @@ class TestListCofacets:
         assert cofacets == [c for c in cofacets if c.kind == "center"]
         assert cofacets[0].multiplicity == 4
 
-    @given(diagrams(max_n=6, max_label=3, max_center=2))
+    @given(diagrams(max_n=10, max_label=3, max_center=2))
     def test_multiplicities_sum_to_count(self, d):
         cofacets = list_cofacets(d)
         assert sum(c.multiplicity for c in cofacets) == count_cofacets(d)
@@ -403,3 +404,43 @@ class TestCanonicalForm:
     @given(diagrams(max_n=6, max_label=3))
     def test_canonical_preserves_counts(self, d):
         assert count_cofacets(canonical_form(d)) == count_cofacets(d)
+
+
+def _periodic_cycles():
+    # a word of length p repeated to length 2n, n = 2..10: many tied rotations
+    def repeat(n, p):
+        word = st.lists(st.integers(0, 2), min_size=p, max_size=p)
+        return word.map(lambda w: tuple(w * (2 * n // p)))
+
+    return st.integers(2, 10).flatmap(
+        lambda n: st.sampled_from([p for p in range(1, 2 * n) if 2 * n % p == 0]).flatmap(
+            lambda p: repeat(n, p)
+        )
+    )
+
+
+def _palindromic_cycles():
+    # labels[i] == labels[-i]: the cycle is its own reflection through position 0
+    return st.integers(2, 10).flatmap(
+        lambda n: st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1).map(
+            lambda half: tuple(half + half[-2:0:-1])
+        )
+    )
+
+
+class TestLeastImage:
+    @given(
+        st.one_of(
+            st.integers(2, 10).flatmap(
+                lambda n: st.tuples(*[st.integers(0, 2)] * (2 * n))
+            ),
+            _periodic_cycles(),
+            _palindromic_cycles(),
+        )
+    )
+    @example((0, 0, 0, 0))
+    @example((1, 0, 1, 0, 1, 0))
+    @example((0, 1, 2, 1, 2, 1))
+    @example((2, 1, 0, 0, 1, 2))
+    def test_is_least_of_the_orbit(self, labels):
+        assert least_image(labels) == min(dihedral_orbit(labels))

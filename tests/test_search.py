@@ -58,6 +58,24 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SearchConfig(k=2, jobs=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": 2.0},
+            {"k": True},
+            {"k": 3, "jobs": 1.5},
+            {"k": 3, "jobs": True},
+            {"k": 3, "sum_cap": 20.0},
+            {"k": 3, "n_max": 2.5},
+        ],
+        ids=["k-float", "k-bool", "jobs-float", "jobs-bool", "sum_cap-float", "n_max-float"],
+    )
+    def test_rejects_non_integers(self, kwargs):
+        # exact ints, as GaleDiagram requires: a float or a bool would get
+        # past the range checks and fail later, or not at all
+        with pytest.raises(ParameterError, match="must be integers"):
+            SearchConfig(**kwargs)
+
     def test_empty_override_space_is_an_error(self):
         # every semicircle needs k+1 mass, so a sum cap of 2(k+1) admits no
         # diagram at all (each window pair needs more than the cap)
@@ -204,6 +222,15 @@ class TestEnumerate:
         assert len({(d.n, d.labels) for d in stream}) == len(stream)
         for d in stream:
             assert canonical_form(d) == d
+
+    def test_emits_canonical_form_of_each_kept_leaf(self):
+        config = SearchConfig(k=2, prune_level="minimal")
+        expected = [
+            canonical_form(GaleDiagram(shard.n, labels))
+            for shard in (run_shard(*args) for args in _shard_args(config, None))
+            for labels, _, _ in shard.leaves
+        ]
+        assert list(enumerate_diagrams(config)) == expected
 
     def test_emitted_are_k_neighborly(self):
         for level in ("marcus", "minimal", "extremal"):
@@ -358,15 +385,18 @@ class TestFindDelta3:
 class TestBoundCut:
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     @pytest.mark.parametrize("k", [2, 3])
-    def test_cut_keeps_every_leaf_within_the_final_bound(self, k, level):
+    def test_cut_keeps_every_leaf_within_the_final_bound(self, k, level, request):
         # the cut (the per-front-label floor and the b-loop break included)
         # may drop only leaves whose gap exceeds the bound the shard ends
         # with: the start bound lowered by its best leaf
         config = SearchConfig(k=k, prune_level=level)
         value = delta3_closed_form(k)
         bounds = {value, value + 1, value + 5, _seed_gap(k, _sum_cap(config))}
-        for args in _shard_args(config, None):
-            full = run_shard(*args)
+        if (k, level) == (3, "marcus"):
+            unbounded = request.getfixturevalue("marcus_k3_shards")
+        else:
+            unbounded = ((args, run_shard(*args)) for args in _shard_args(config, None))
+        for args, full in unbounded:
             every = set(full.leaves)
             gaps = [f - v for _, f, v in full.leaves]
             for bound in bounds:
