@@ -19,16 +19,23 @@ of position i sums a_{i+1..n-1} + b_{0..i-1}, and its antipodal mate sums
 b_{i+1..n-1} + a_{0..i-1}.
 
 The branch-and-bound cut gives every child (a, b) a floor on the gap of the
-leaves below it: cofacets so far, plus the triangles that its semicircle
-deficits force future labels to close, minus the most vertices the sum cap
-allows.  For a fixed front label a the floor is convex and piecewise linear
-in b, a sum of affine terms and of maxima of affine terms with nonnegative
-weights, so its minimum over the admissible b lies at an end of the range
-or at one of its two kinks.  The search evaluates it there once per a and
-skips the whole a when even that minimum exceeds the best gap.  In the b
-loop, a cut at or past the least minimiser ends the loop: the floor does
-not fall from there on, and the best gap never rises.  Both steps skip only
-children the per-child test would cut, so the tree searched is unchanged.
+leaves below it, ``gap_floor``.  A later front label unit adds one vertex
+and closes at least xa triangles, xa being the count right after the child,
+since that count only grows; a back unit likewise closes at least xb.  The
+semicircle deficits force some front and back mass, every later diameter
+carries mass, and the sum cap bounds the total, so the cheapest completion,
+each unit charged that least net effect, has a closed form.  For a fixed
+front label a, when every child has xa >= 1 and xb >= 1, the floor is
+h(b) + T(b).  h is convex and piecewise linear with one kink: affine terms
+plus a maximum of affine terms with a nonnegative weight.  T is a product
+of two nonnegative factors that do not fall as b grows, so T does not fall
+either.  The search computes the least minimiser b_star of h in closed
+form once per a and skips the whole a when h(b_star) exceeds the best gap.
+In the b loop, a cut at or past b_star ends the loop: neither term falls
+from there on, and the best gap never rises.  Both steps skip only children
+the per-child test would cut.  When xa or xb is 0, a unit on that side is
+worth -1 and the floor puts all free mass there; the search then tests
+each child of that a on its own.
 
 At the ``minimal`` and ``extremal`` levels every node, the leaf included,
 runs ``diagram.is_minimal_cycle`` on the labels assigned so far, with the
@@ -84,6 +91,30 @@ def is_pair_canonical(labels: tuple[int, ...]) -> bool:
     images = _images(len(labels))
     key = images[0][1](labels)
     return all(key <= read(labels) for start, read in images if labels[start] == first)
+
+
+def gap_floor(
+    f: int, s: int, xa: int, xb: int, dfr: int, dbr: int, rest: int, fut: int
+) -> int:
+    """Floor on the gap (cofacets - vertices) of every leaf below a node.
+
+    ``f`` and ``s`` are the node's cofacets and vertices, ``xa`` and ``xb``
+    the triangles each later front and back label unit closes at least,
+    ``dfr`` and ``dbr`` the front and back mass its semicircle deficits
+    force, ``rest`` its unassigned diameters (each needs mass) and ``fut``
+    the most mass they may hold.  Each of F later front units closes at
+    least xa triangles and adds one vertex, and each of B back units at
+    least xb, so every leaf has gap at least f - s + F (xa - 1) + B (xb - 1)
+    with F >= dfr, B >= dbr and rest <= F + B <= fut.  The floor is the
+    least value of that sum.
+    """
+    floor = f - s + dfr * (xa - 1) + dbr * (xb - 1)
+    if xa == 0 or xb == 0:
+        return floor - (fut - dfr - dbr)  # all free mass where a unit is worth -1
+    short = rest - dfr - dbr
+    if short > 0:
+        floor += short * (xa - 1 if xa < xb else xb - 1)  # on the cheaper side
+    return floor
 
 
 class ShardResult(NamedTuple):
@@ -145,21 +176,6 @@ def run_shard(
         leaves.append((labels, f_run, s_run))
         if best is not None and gap < best:
             best = gap
-
-    def excess(b: int, base: int, slope: int, nxb: int, kink: int, s0: int) -> int:
-        """Floor on the gap of every leaf below child (a, b).
-
-        The coefficients are fixed per front label a; ``dfs`` derives them
-        and shows why the floor is convex in b.
-        """
-        d = kink - b
-        s = s0 + b
-        return (
-            base
-            + slope * b
-            + (d * nxb if d > 0 else 0)
-            - (s if s < sum_cap else sum_cap)
-        )
 
     def dfs(
         t: int,
@@ -263,6 +279,11 @@ def run_shard(
             return
         ra1, rb1 = divmod(r1, K)
         ra2, rb2 = divmod(r2, K)
+        if best is not None:
+            # the back deficit left after child (a, b) is e0 + max(0, kink - b)
+            e0 = p - sa if p > sa else 0
+            kink = p - sb + mb - e0
+            fut_cap = 2 * label_cap * floor_rest
 
         for a in range(a_lo, label_cap + 1):
             room = sum_cap - s_run - a - floor_rest
@@ -287,41 +308,43 @@ def run_shard(
             f_a = f_run + a * xa  # a closes front-front-back triangles
             nxb = xb + a * sb
             if best is not None:
-                # Every leaf below child (a, b) has gap at least
-                #   excess(b) = f_child + dfr * nxa + dbr * nxb - s_max,
-                # dfr, dbr being the front and back deficits left after the
-                # child, clamped at 0: they force future front and back
-                # mass, and xa/xb only grow, so every forced front (back)
-                # unit closes at least nxa (nxb) triangles; s_max caps the
-                # vertex count.  For this a, as functions of b:
-                #   f_child = f_a + (a + xb) b and nxa = xa + sa b are affine,
-                #   dfr and nxb >= 0 are constant,
-                #   dbr = max(0, p - sa, p - sb + mb - b) is convex,
-                #   -s_max = max(-sum_cap, -(s0 + b)) is convex,
-                # with s0 = s_run + a + 2 label_cap (slots - 1).  So excess
-                # is convex and piecewise linear with integer kinks at
-                # b = kink and b = sum_cap - s0; its least minimiser b_star
-                # on [b_lo, b_cap] is an end or a kink.
+                # the front deficit left after the child does not depend on b
                 dfr = p - sa - a + mf
                 if dfr < p - sb:
                     dfr = p - sb
                 if dfr < 0:
                     dfr = 0
-                e0 = p - sa if p > sa else 0
-                kink = p - sb + mb - e0
-                base = f_a + dfr * xa + e0 * nxb
-                slope = a + xb + dfr * sa
-                s0 = s_run + a + (slots - 1) * 2 * label_cap
-                b_star = b_lo
-                low = excess(b_lo, base, slope, nxb, kink, s0)
-                for x in (kink, sum_cap - s0, b_cap):
-                    if b_lo < x <= b_cap:
-                        v = excess(x, base, slope, nxb, kink, s0)
-                        if v < low or (v == low and x < b_star):
-                            low = v
-                            b_star = x
-                if low > best:
-                    continue  # every b is cut
+                if nxb and xa + sa * b_lo:
+                    # Every child's nxa = xa + sa b and nxb are >= 1, so
+                    # gap_floor(child) = h(b) + T(b), with w = nxb - 1 >= 0:
+                    #   h(b) = f_a - s_run - a + dfr (xa - 1) + e0 w
+                    #          + slope b + w max(0, kink - b),
+                    #   slope = a + xb - 1 + dfr sa,
+                    #   T(b) = max(0, floor_rest - dfr - dbr) min(nxa - 1, w).
+                    # h is convex with its one kink at b = kink: its slope is
+                    # slope - w left of it and slope right of it.  T >= 0
+                    # does not fall as b grows: dbr does not rise and nxa
+                    # does not fall.  So no child beats h(b_star), and h + T
+                    # does not fall past the least minimiser b_star of h.
+                    w = nxb - 1
+                    slope = a + xb - 1 + dfr * sa
+                    if slope < 0:
+                        b_star = b_cap
+                    elif slope >= w or kink <= b_lo:
+                        b_star = b_lo
+                    elif kink < b_cap:
+                        b_star = kink
+                    else:
+                        b_star = b_cap
+                    d = kink - b_star
+                    if (
+                        f_a - s_run - a + dfr * (xa - 1) + e0 * w + slope * b_star
+                        + (w * d if d > 0 else 0)
+                        > best
+                    ):
+                        continue  # every b is cut
+                else:
+                    b_star = b_cap + 1  # some unit is worth -1: test every child
             for b in range(b_lo, b_cap + 1):
                 code = a * K + b
                 fcode = b * K + a
@@ -329,18 +352,30 @@ def run_shard(
                     continue
                 if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fd0c < code)):
                     continue
-                if best is not None and excess(b, base, slope, nxb, kink, s0) > best:
-                    # excess never falls past b_star and best never rises,
-                    # so every later b is cut too
-                    if b >= b_star:
-                        break
-                    continue
                 f_child = f_a + a * b + b * xb
+                s_child = s_run + a + b
+                nxa = xa + b * sa
+                if best is not None:
+                    d = kink - b
+                    fut = sum_cap - s_child
+                    if fut > fut_cap:
+                        fut = fut_cap
+                    if (
+                        gap_floor(
+                            f_child, s_child, nxa, nxb, dfr,
+                            e0 + d if d > 0 else e0, floor_rest, fut,
+                        )
+                        > best
+                    ):
+                        # past b_star the floor never falls and best never
+                        # rises, so every later b is cut too
+                        if b >= b_star:
+                            break
+                        continue
                 saa = sa + a
                 sbb = sb + b
                 nmf = mf if mf >= saa - sb else saa - sb
                 nmb = mb if mb >= sbb - sa else sbb - sa
-                nxa = xa + b * sa
 
                 av[t] = a
                 bv[t] = b
@@ -355,7 +390,7 @@ def run_shard(
 
                 dfs(
                     t + 1,
-                    s_run + a + b,
+                    s_child,
                     f_child,
                     saa,
                     sbb,

@@ -15,12 +15,15 @@ per dihedral class, over spaces restricted by three prune levels:
 
 The minimum itself is computed exactly with a branch-and-bound cut.  Each
 child diameter (a, b) gets a floor on the gap of every leaf below it: its
-cofacets, plus the triangles that its semicircle deficits force later
-labels to close, minus the most vertices the sum cap allows.  For each front
-label a the floor is convex in b, so the search tests its minimum once per
-a, skipping every b when it exceeds the best gap, and stops the b loop at
-the first cut at or past that minimum.  Subtrees that could still tie the
-best value are never cut, so every witness is found.
+cofacets less its vertices, plus the least net effect of the label mass
+still to come.  Each later label unit adds one vertex and closes at least
+as many triangles as a unit on its half would close right after the child;
+the semicircle deficits force some of that mass, and every later diameter
+needs some.  For each front label a the search tests the floor's convex
+part once, at its minimum, skipping every b when it exceeds the best gap,
+and stops the b loop at the first cut at or past that minimum.  Subtrees
+that could still tie the best value are never cut, so every witness is
+found.
 """
 from __future__ import annotations
 
@@ -217,8 +220,8 @@ def verify_theorem1(
     flag.  A searched minimum below zero aborts earlier with the offending
     witness, so a completed table doubles as the facets >= vertices check.
     """
-    if not 2 <= k_max <= 7:
-        raise ParameterError(f"k_max must be between 2 and 7, got {k_max}")
+    if not 2 <= k_max <= 12:
+        raise ParameterError(f"k_max must be between 2 and 12, got {k_max}")
     rows = []
     for k in range(2, k_max + 1):
         result = find_delta3(

@@ -2,13 +2,14 @@
 import io
 import json
 import pickle
+from itertools import product
 from multiprocessing import Pool
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from neighborly_gale._core import is_pair_canonical, run_shard
+from neighborly_gale._core import gap_floor, is_pair_canonical, run_shard
 from neighborly_gale.diagram import (
     GaleDiagram,
     canonical_form,
@@ -367,12 +368,35 @@ class TestFindDelta3:
             key for key, gap in gaps.items() if gap == 34
         }
 
+    # ids leave out the ceilings, so lowering one keeps the test's name
     @pytest.mark.parametrize(
-        "k,ceiling", [(2, 1183), (3, 3958), (4, 10570), (5, 26301), (6, 57310)]
+        "k,ceiling",
+        [(2, 637), (3, 2214), (4, 6262), (5, 15265), (6, 33457)],
+        ids=["k2", "k3", "k4", "k5", "k6"],
     )
     def test_marcus_node_ceiling(self, k, ceiling):
         # stronger cuts may lower these counts; none may raise them
         result = find_delta3(SearchConfig(k=k, prune_level="marcus"))
+        assert result.stats.nodes <= ceiling
+
+    @pytest.mark.parametrize(
+        "level,k,ceiling",
+        [
+            ("minimal", 2, 1178),
+            ("minimal", 3, 3950),
+            ("minimal", 4, 10549),
+            ("minimal", 5, 26236),
+            ("minimal", 6, 57140),
+            ("extremal", 2, 92),
+            ("extremal", 3, 315),
+            ("extremal", 4, 673),
+            ("extremal", 5, 1451),
+            ("extremal", 6, 2790),
+        ],
+        ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)],
+    )
+    def test_node_ceiling(self, level, k, ceiling):
+        result = find_delta3(SearchConfig(k=k, prune_level=level))
         assert result.stats.nodes <= ceiling
 
     def test_stats_populated(self):
@@ -380,6 +404,87 @@ class TestFindDelta3:
         assert result.stats.nodes > 0
         assert result.stats.evaluated >= 1
         assert result.stats.wall_time >= 0
+
+
+def prefix_state(front, back):
+    """(f, s, sa, sb, xa, xb, mf, mb) of a diameter prefix, from its labels alone.
+
+    f counts the cofacets among the assigned diameters (complete diameters
+    and triangles with two same-half labels around an opposite-half one),
+    xa (xb) the triangles a later front (back) unit closes at least, and
+    p - sa + mf (p - sb + mb) is the largest semicircle deficit that only
+    later front (back) labels can pay.
+    """
+    t = len(front)
+    f = sum(a * b for a, b in zip(front, back))
+    for i in range(t):
+        for j in range(i + 2, t):
+            between_a = sum(front[i + 1 : j])
+            between_b = sum(back[i + 1 : j])
+            f += front[i] * front[j] * between_b + back[i] * back[j] * between_a
+    xa = sum(back[u] * sum(front[:u]) for u in range(t))
+    xb = sum(front[u] * sum(back[:u]) for u in range(t))
+    mf = max(sum(front[: i + 1]) - sum(back[:i]) for i in range(t))
+    mb = max(sum(back[: i + 1]) - sum(front[:i]) for i in range(t))
+    return f, sum(front) + sum(back), sum(front), sum(back), xa, xb, mf, mb
+
+
+def least_completion_gap(front, back, n, k):
+    """Least gap over the marcus leaves that extend the prefix, or None."""
+    cap = k + 1
+    rest = n - len(front)
+    least = None
+    for tail in product(range(cap + 1), repeat=2 * rest):
+        full_front = list(front) + list(tail[:rest])
+        full_back = list(back) + list(tail[rest:])
+        labels = tuple(full_front + full_back)
+        if sum(labels) > 4 * cap:
+            continue
+        if any(a + b == 0 for a, b in zip(full_front, full_back)):
+            continue  # dead diameter
+        if any(labels[i - 1] + labels[i] == 0 for i in range(2 * n)):
+            continue
+        d = GaleDiagram(n, labels)
+        if not is_k_neighborly(d, k):
+            continue
+        gap = count_cofacets(d) - d.vertex_count
+        if least is None or gap < least:
+            least = gap
+    return least
+
+
+class TestGapFloor:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(4, 7),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=4),
+        st.integers(1, 2),
+    )
+    # prefixes on which each side's -1 and the cheaper side are needed
+    @example(7, [(6, 2), (4, 3), (0, 5)], 1)
+    @example(5, [(0, 3), (3, 3), (6, 5)], 1)
+    @example(5, [(6, 3), (4, 2), (2, 5)], 2)
+    def test_never_exceeds_a_completion(self, k, prefix, open_diameters):
+        # the cut's floor for a child is gap_floor of the state after it;
+        # every leaf that completes the prefix has at least that gap
+        p = k + 1
+        front = [min(a, p) for a, _ in prefix]
+        back = [min(b, p) for _, b in prefix]
+        n = len(prefix) + open_diameters
+        least = least_completion_gap(front, back, n, k)
+        assume(least is not None)
+        f, s, sa, sb, xa, xb, mf, mb = prefix_state(front, back)
+        floor = gap_floor(
+            f,
+            s,
+            xa,
+            xb,
+            max(0, p - sa + mf),
+            max(0, p - sb + mb),
+            open_diameters,
+            min(4 * p - s, 2 * p * open_diameters),
+        )
+        assert floor <= least
 
 
 class TestBoundCut:
@@ -422,7 +527,13 @@ class TestVerifyTheorem1:
         with pytest.raises(ParameterError):
             verify_theorem1(1)
         with pytest.raises(ParameterError):
-            verify_theorem1(8)
+            verify_theorem1(13)
+        assert verify_theorem1(8)[-1]["k"] == 8
+
+    def test_through_k12(self):
+        rows = verify_theorem1(12)
+        assert [r["k"] for r in rows] == list(range(2, 13))
+        assert all(r["match"] for r in rows), rows
 
     def test_k7_extended_search(self):
         # beyond the certified range; the searched value still matches
@@ -435,6 +546,7 @@ class TestVerifyTheorem1:
         result = find_delta3(SearchConfig(k=7, prune_level="marcus", emit_all=True))
         assert result.delta3 == delta3_closed_form(7) == 96
         assert result.witnesses == (GaleDiagram(2, (8, 8, 8, 8)),)
+        assert result.stats.nodes <= 66642
 
 
 class TestResultSerialization:
