@@ -29,13 +29,23 @@ front label a, when every child has xa >= 1 and xb >= 1, the floor is
 h(b) + T(b).  h is convex and piecewise linear with one kink: affine terms
 plus a maximum of affine terms with a nonnegative weight.  T is a product
 of two nonnegative factors that do not fall as b grows, so T does not fall
-either.  The search computes the least minimiser b_star of h in closed
-form once per a and skips the whole a when h(b_star) exceeds the best gap.
-In the b loop, a cut at or past b_star ends the loop: neither term falls
-from there on, and the best gap never rises.  Both steps skip only children
-the per-child test would cut.  When xa or xb is 0, a unit on that side is
-worth -1 and the floor puts all free mass there; the search then tests
-each child of that a on its own.
+either.  ``front_floor`` computes the least minimiser b_star of h in closed
+form once per a, and the search skips the whole a when h(b_star) exceeds
+the best gap.  In the b loop, a cut at or past b_star ends the loop:
+neither term falls from there on, and the best gap never rises.  The range
+of b that ``front_floor`` minimises over starts at the least b that any
+front label admits, so h(b_star) also floors every later front label
+whose h does not fall as a grows.  It does not fall once the front
+deficit is paid, or when sa <= 1; before the front label that pays it, h
+is affine in a, so that label's floor bounds the rest.  When both floors
+exceed the best gap, the front label loop ends.  These steps skip only
+children the per-child test would cut.  When xa is 0 and sa >= 1, the
+children with b >= 1 have the same form, and the child b = 0 is tested
+on its own.  When a unit on one side is worth -1 for every b (the child's
+xb is 0, or xa and sa are both 0), the floor puts all free mass there,
+and the search tests each child of that a on its own.  Before its floor,
+a child whose deficits force more mass than its open diameters may hold
+is cut: its own deficit test would return at once.
 
 At the ``minimal`` and ``extremal`` levels every node, the leaf included,
 runs ``diagram.is_minimal_cycle`` on the labels assigned so far, with the
@@ -49,6 +59,9 @@ Symmetry breaking reads each image of ``diagram.dihedral_orbit`` in diameter
 order a_0, b_0, a_1, b_1, ...  That is the order the DFS assigns labels in,
 so its lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0)
 prune prefixes; the leaf keeps a sequence only if no image reads smaller.
+While every diameter so far is symmetric (a_s = b_s), the pair-flipped
+image without rotation ties the identity, so the next diameter needs
+a_t <= b_t.
 An image can only tie or win if it starts at a least label, so the leaf
 rejects a cycle whose first label is not least and compares only the images
 that start at a label equal to it.  Which positions an image reads, and in
@@ -115,6 +128,69 @@ def gap_floor(
     if short > 0:
         floor += short * (xa - 1 if xa < xb else xb - 1)  # on the cheaper side
     return floor
+
+
+def front_floor(
+    f: int, s: int, sa: int, sb: int, xa: int, xb: int, mf: int, mb: int,
+    p: int, a: int, lo: int, hi: int, bound: int,
+) -> tuple[int, int, bool]:
+    """Least convex part h of ``gap_floor`` over the children (a, b), lo <= b <= hi.
+
+    The node's state is that of ``gap_floor`` before the child: ``f`` and
+    ``s`` its cofacets and vertices, ``sa`` and ``sb`` its front and back
+    masses, ``xa`` and ``xb`` its triangle counts, and p - sa + mf and
+    p - sb + mb its worst front and back deficits, p being k+1.  Where the
+    child's nxa = xa + sa b and nxb = xb + a sb are both >= 1, its floor is
+    h(b) + T(b), with w = nxb - 1 and the child's deficits
+    dfr = max(p - sa - a + mf, p - sb, 0) and dbr = e0 + max(0, kink - b):
+
+        h(b) = f + a xa - s - a + dfr (xa - 1) + e0 w + slope b
+               + w max(0, kink - b),   slope = a + xb - 1 + dfr sa,
+        T(b) = max(0, rest - dfr - dbr) min(nxa - 1, w) >= 0.
+
+    h is convex with its one kink at b = kink (slope - w left of it, slope
+    right of it), and T does not fall as b grows: dbr does not rise and
+    nxa does not fall.  So no child beats h(b_star) at the least minimiser
+    b_star, and the floor does not fall past b_star.
+
+    Returns (h(b_star), b_star, ends).  ``ends`` says that every child
+    (a', b) with a' >= a and lo <= b <= hi has a floor above ``bound``.
+    Such a child has nxa >= xa and nxb >= xb + a sb, so with xa >= 1 it has
+    the h + T form, and it is enough that h_a'(b) > bound.  Each unit of a
+    changes h(b) by
+        (1 - delta)(xa - 1) + e0 sb + b (1 - delta sa) + sb max(0, kink - b),
+    delta in {0, 1} being the fall of dfr.  Once the front deficit is paid
+    (from a_paid = p - sa + mf - max(p - sb, 0) on) delta is 0 and the step
+    is >= 0; so is it when sa <= 1.  Before a_paid, delta is 1 and the step
+    does not depend on a, so h_a'(b) is affine in a' there and at least
+    min(h_a(b), h_a_paid(b)).  Hence h_a(b_star) > bound ends the front
+    label loop when sa <= 1 or a >= a_paid, and otherwise when h_a_paid,
+    at its own least minimiser, also exceeds the bound.
+    """
+    e0 = p - sa if p > sa else 0
+    kink = p - sb + mb - e0
+    paid = p - sb if p > sb else 0
+    dfr = p - sa - a + mf
+    if dfr < paid:
+        dfr = paid
+    w = xb + a * sb - 1
+    slope = a + xb - 1 + dfr * sa
+    if slope < 0:
+        b = hi
+    elif slope >= w or kink <= lo:
+        b = lo
+    elif kink < hi:
+        b = kink
+    else:
+        b = hi
+    d = kink - b
+    h = f + a * xa - s - a + dfr * (xa - 1) + e0 * w + slope * b + (w * d if d > 0 else 0)
+    if h <= bound or not xa:
+        return h, b, False
+    a_paid = p - sa + mf - paid
+    if sa <= 1 or a >= a_paid:
+        return h, b, True
+    return h, b, front_floor(f, s, sa, sb, xa, xb, mf, mb, p, a_paid, lo, hi, bound)[2]
 
 
 class ShardResult(NamedTuple):
@@ -255,6 +331,10 @@ def run_shard(
             c = codes[t - j]
             if c > r2:
                 r2 = c
+        # j = 0 (read above as the unassigned codes[t]) stays in live1 while
+        # every diameter so far is symmetric: the pair-flipped image then
+        # ties the identity, and (a_t, b_t) <= (b_t, a_t) asks a_t <= b_t
+        flip = live1 and live1[0] == 0
 
         # reversal pivoted at t, plain and pair-flipped, restricted to the
         # assigned prefix: the first strict difference decides
@@ -284,13 +364,15 @@ def run_shard(
             e0 = p - sa if p > sa else 0
             kink = p - sb + mb - e0
             fut_cap = 2 * label_cap * floor_rest
+            # every child has b >= b_base and, from the flipped pair floor
+            # below, b >= ra2, whatever its front label
+            lo_later = b_base if b_base > ra2 else ra2
 
-        for a in range(a_lo, label_cap + 1):
+        # a rotation tied with the identity floors a at ra1
+        for a in range(a_lo if a_lo > ra1 else ra1, label_cap + 1):
             room = sum_cap - s_run - a - floor_rest
             if room < 0:
                 break
-            if a < ra1:
-                continue
             b_lo = b_base
             if a == 0 and b_lo == 0:
                 b_lo = 1  # no dead diameters
@@ -302,49 +384,39 @@ def run_shard(
                     b_lo = ra2
             elif ra2 + 1 > b_lo:
                 b_lo = ra2 + 1
+            if flip and a > b_lo:
+                b_lo = a
             b_cap = label_cap if label_cap < room else room
             if b_lo > b_cap:
                 continue
             f_a = f_run + a * xa  # a closes front-front-back triangles
             nxb = xb + a * sb
             if best is not None:
+                if nxb and (xa or sa and b_cap):
+                    # children with b >= 1, and with every b when xa >= 1,
+                    # have nxa and nxb >= 1 and the floor h + T of
+                    # front_floor; its range starts at lo_later so that the
+                    # floor also serves the later front labels
+                    h, b_star, ends = front_floor(
+                        f_run, s_run, sa, sb, xa, xb, mf, mb, p, a,
+                        lo_later if xa or lo_later else 1, b_cap, best,
+                    )
+                    if ends:
+                        break  # every b of this and every later a is cut
+                    if h > best:
+                        if b_lo or xa:
+                            continue  # every b is cut
+                        b_cap = 0  # every b >= 1 is cut; b = 0 is tested alone
+                    # b_star may lie below b_lo; the b loop still ends at
+                    # its first cut, where the floor no longer falls
+                else:
+                    b_star = b_cap + 1  # some unit is worth -1: test every child
                 # the front deficit left after the child does not depend on b
                 dfr = p - sa - a + mf
                 if dfr < p - sb:
                     dfr = p - sb
                 if dfr < 0:
                     dfr = 0
-                if nxb and xa + sa * b_lo:
-                    # Every child's nxa = xa + sa b and nxb are >= 1, so
-                    # gap_floor(child) = h(b) + T(b), with w = nxb - 1 >= 0:
-                    #   h(b) = f_a - s_run - a + dfr (xa - 1) + e0 w
-                    #          + slope b + w max(0, kink - b),
-                    #   slope = a + xb - 1 + dfr sa,
-                    #   T(b) = max(0, floor_rest - dfr - dbr) min(nxa - 1, w).
-                    # h is convex with its one kink at b = kink: its slope is
-                    # slope - w left of it and slope right of it.  T >= 0
-                    # does not fall as b grows: dbr does not rise and nxa
-                    # does not fall.  So no child beats h(b_star), and h + T
-                    # does not fall past the least minimiser b_star of h.
-                    w = nxb - 1
-                    slope = a + xb - 1 + dfr * sa
-                    if slope < 0:
-                        b_star = b_cap
-                    elif slope >= w or kink <= b_lo:
-                        b_star = b_lo
-                    elif kink < b_cap:
-                        b_star = kink
-                    else:
-                        b_star = b_cap
-                    d = kink - b_star
-                    if (
-                        f_a - s_run - a + dfr * (xa - 1) + e0 * w + slope * b_star
-                        + (w * d if d > 0 else 0)
-                        > best
-                    ):
-                        continue  # every b is cut
-                else:
-                    b_star = b_cap + 1  # some unit is worth -1: test every child
             for b in range(b_lo, b_cap + 1):
                 code = a * K + b
                 fcode = b * K + a
@@ -357,16 +429,15 @@ def run_shard(
                 nxa = xa + b * sa
                 if best is not None:
                     d = kink - b
+                    dbr = e0 + d if d > 0 else e0
                     fut = sum_cap - s_child
                     if fut > fut_cap:
                         fut = fut_cap
-                    if (
-                        gap_floor(
-                            f_child, s_child, nxa, nxb, dfr,
-                            e0 + d if d > 0 else e0, floor_rest, fut,
-                        )
-                        > best
-                    ):
+                    if dfr + dbr > fut:
+                        # the child's deficit test would return; a later b
+                        # lowers dbr, and fut stops falling once capped
+                        continue
+                    if gap_floor(f_child, s_child, nxa, nxb, dfr, dbr, floor_rest, fut) > best:
                         # past b_star the floor never falls and best never
                         # rises, so every later b is cut too
                         if b >= b_star:

@@ -21,9 +21,10 @@ as many triangles as a unit on its half would close right after the child;
 the semicircle deficits force some of that mass, and every later diameter
 needs some.  For each front label a the search tests the floor's convex
 part once, at its minimum, skipping every b when it exceeds the best gap,
-and stops the b loop at the first cut at or past that minimum.  Subtrees
-that could still tie the best value are never cut, so every witness is
-found.
+and stops the b loop at the first cut at or past that minimum.  The same
+test ends the front label loop where it provably also holds for every
+later front label.  Subtrees that could still tie the best value are never
+cut, so every witness is found.
 """
 from __future__ import annotations
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from neighborly_gale._core import gap_floor, is_pair_canonical, run_shard
+from neighborly_gale import _core
+from neighborly_gale._core import front_floor, gap_floor, is_pair_canonical, run_shard
 from neighborly_gale.diagram import (
     GaleDiagram,
     canonical_form,
@@ -371,7 +372,7 @@ class TestFindDelta3:
     # ids leave out the ceilings, so lowering one keeps the test's name
     @pytest.mark.parametrize(
         "k,ceiling",
-        [(2, 637), (3, 2214), (4, 6262), (5, 15265), (6, 33457)],
+        [(2, 617), (3, 2151), (4, 6086), (5, 14852), (6, 32649)],
         ids=["k2", "k3", "k4", "k5", "k6"],
     )
     def test_marcus_node_ceiling(self, k, ceiling):
@@ -382,16 +383,16 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,ceiling",
         [
-            ("minimal", 2, 1178),
-            ("minimal", 3, 3950),
-            ("minimal", 4, 10549),
-            ("minimal", 5, 26236),
-            ("minimal", 6, 57140),
-            ("extremal", 2, 92),
-            ("extremal", 3, 315),
-            ("extremal", 4, 673),
-            ("extremal", 5, 1451),
-            ("extremal", 6, 2790),
+            ("minimal", 2, 617),
+            ("minimal", 3, 2143),
+            ("minimal", 4, 6075),
+            ("minimal", 5, 14807),
+            ("minimal", 6, 32565),
+            ("extremal", 2, 75),
+            ("extremal", 3, 229),
+            ("extremal", 4, 505),
+            ("extremal", 5, 1084),
+            ("extremal", 6, 2110),
         ],
         ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)],
     )
@@ -487,11 +488,69 @@ class TestGapFloor:
         assert floor <= least
 
 
+def child_floor(front, back, a, b, open_diameters, k):
+    """gap_floor of the child (a, b) of a prefix, from the child's labels alone."""
+    p = k + 1
+    f, s, sa, sb, xa, xb, mf, mb = prefix_state(front + [a], back + [b])
+    return gap_floor(
+        f,
+        s,
+        xa,
+        xb,
+        max(0, p - sa + mf),
+        max(0, p - sb + mb),
+        open_diameters,
+        min(4 * p - s, 2 * p * open_diameters),
+    )
+
+
+class TestFrontFloor:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(4, 7),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=4),
+        st.integers(0, 8),
+        st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        st.integers(0, 2),
+        st.integers(0, 3),
+    )
+    # the front deficit still binds with sa >= 2, so h falls with a for
+    # large b, and only the floor at the first paid front label ends the loop
+    @example(4, [(5, 0), (0, 3)], 1, (0, 5), 0, 0)
+    @example(5, [(6, 0), (0, 4)], 1, (2, 6), 1, 0)
+    def test_floors_every_child_it_claims(self, k, prefix, a, b_range, open_diameters, slack):
+        # the search skips front label a when h > bound, ends the b loop at a
+        # cut at or past b_star, and ends the front label loop where ends
+        # is set; each must skip only children whose floor exceeds the bound
+        p = k + 1
+        front = [min(x, p) for x, _ in prefix]
+        back = [min(y, p) for _, y in prefix]
+        a = min(a, p)
+        lo, hi = sorted(min(b, p) for b in b_range)
+        f, s, sa, sb, xa, xb, mf, mb = prefix_state(front, back)
+        assume(xb + a * sb >= 1 and xa + sa * lo >= 1)  # every child has the h + T form
+        h, b_star, _ = front_floor(f, s, sa, sb, xa, xb, mf, mb, p, a, lo, hi, 0)
+        bound = h - 1 - slack  # h exceeds it
+        _, _, ends = front_floor(f, s, sa, sb, xa, xb, mf, mb, p, a, lo, hi, bound)
+        floors = [child_floor(front, back, a, b, open_diameters, k) for b in range(lo, hi + 1)]
+        assert lo <= b_star <= hi
+        assert min(floors) >= h
+        tail = floors[b_star - lo :]
+        assert tail == sorted(tail)  # the floor does not fall past b_star
+        if ends:
+            for later in range(a + 1, p + 1):
+                for b in range(lo, hi + 1):
+                    assert child_floor(front, back, later, b, open_diameters, k) > bound, (
+                        later,
+                        b,
+                    )
+
+
 class TestBoundCut:
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     @pytest.mark.parametrize("k", [2, 3])
     def test_cut_keeps_every_leaf_within_the_final_bound(self, k, level, request):
-        # the cut (the per-front-label floor and the b-loop break included)
+        # the cut (the per-front-label floor and both loop breaks included)
         # may drop only leaves whose gap exceeds the bound the shard ends
         # with: the start bound lowered by its best leaf
         config = SearchConfig(k=k, prune_level=level)
@@ -513,6 +572,26 @@ class TestBoundCut:
                     leaf for leaf, gap in zip(full.leaves, gaps) if gap <= final
                 } <= kept, (args, bound)
                 assert cut.nodes <= full.nodes
+
+    def test_front_label_steps_cut_only_what_the_child_test_cuts(self, monkeypatch):
+        # skipping a front label, ending its b loop and ending the front
+        # label loop may drop only children that gap_floor would cut: the
+        # shards must match, node for node, a search whose front_floor
+        # never fires and so tests every child on its own
+        cases = []
+        for level in ("marcus", "minimal"):
+            for k in (2, 3, 4):
+                value = delta3_closed_form(k)
+                for bound in (value - 1, value, value + 3):
+                    cases += _shard_args(SearchConfig(k=k, prune_level=level), bound)
+        cases += [(6, n, 1, "marcus", 28, 7, delta3_closed_form(6) + 3) for n in range(5, 12)]
+        fast = [run_shard(*args) for args in cases]
+        # (h, b_star, ends): h below every bound, b_star past hi, never ends
+        monkeypatch.setattr(
+            _core, "front_floor", lambda *args: (-(10**9), args[11] + 1, False)
+        )
+        for args, shard in zip(cases, fast):
+            assert run_shard(*args) == shard, args
 
 
 class TestVerifyTheorem1:
@@ -546,7 +625,7 @@ class TestVerifyTheorem1:
         result = find_delta3(SearchConfig(k=7, prune_level="marcus", emit_all=True))
         assert result.delta3 == delta3_closed_form(7) == 96
         assert result.witnesses == (GaleDiagram(2, (8, 8, 8, 8)),)
-        assert result.stats.nodes <= 66642
+        assert result.stats.nodes <= 65110
 
 
 class TestResultSerialization:
