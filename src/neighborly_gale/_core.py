@@ -55,55 +55,45 @@ completion, and the whole subtree is cut.  An inner node whose assigned
 front and back masses are both at most k+1 skips the test, which cannot
 fail there.
 
-Symmetry breaking reads each image of ``diagram.dihedral_orbit`` in diameter
-order a_0, b_0, a_1, b_1, ...  That is the order the DFS assigns labels in,
-so its lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0)
-prune prefixes; the leaf keeps a sequence only if no image reads smaller.
-While every diameter so far is symmetric (a_s = b_s), the pair-flipped
-image without rotation ties the identity, so the next diameter needs
-a_t <= b_t.
-An image can only tie or win if it starts at a least label, so the leaf
-rejects a cycle whose first label is not least and compares only the images
-that start at a label equal to it.  Which positions an image reads, and in
-what order, is a table per cycle length built by applying
-``dihedral_orbit`` to the positions themselves.  The emitted stream is
-pinned to the other order on the same orbit: ``diagram.least_image``, the
-least image in position order, which ``canonical_form`` wraps.
+Symmetry breaking and emission keep one rule, the least of a cycle's
+rotations and of its reverse's, on two encodings.  ``diagram.least_image``
+(wrapped by ``canonical_form``) applies it to the position-order label
+cycle, and the emitted stream is pinned to that form.  The leaf applies it
+to the code cycle C = (a_t K + b_t for every t, then b_t K + a_t), K
+exceeding every label: turning the positions by one shifts the diameters
+and flips the pair that wraps, so the rotations of C and of C reversed are
+the 4n images of ``diagram.dihedral_orbit`` read in diameter order
+a_0, b_0, a_1, b_1, ...  The DFS assigns labels in that order, so its
+lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0) prune
+prefixes.  While every diameter so far is symmetric (a_s = b_s), the
+pair-flipped image without rotation ties the identity, so the next
+diameter needs a_t <= b_t.
 """
 from __future__ import annotations
 
-from functools import cache
-from operator import itemgetter
 from typing import NamedTuple
 
-from .diagram import GaleDiagram, dihedral_orbit, is_minimal_cycle
-from .errors import CounterexampleError
+from .diagram import GaleDiagram, is_minimal_cycle
+from .errors import CounterexampleError, ParameterError
 
 
-@cache
-def _images(two_n: int) -> tuple[tuple[int, itemgetter], ...]:
-    """(start, key) per image of ``dihedral_orbit``, the identity first.
+def is_pair_canonical(cycle: list[int]) -> bool:
+    """Is the code cycle C least among its rotations and those of its reverse?
 
-    ``start`` is the position the image starts at, and ``key`` reads a label
-    cycle as that image in diameter order (positions 0, n, 1, n+1, ...).
+    Only rotations that start at a code at most the first one can tie or win.
     """
-    n = two_n // 2
-    order = [i + h for i in range(n) for h in (0, n)]
-    table = []
-    for image in dihedral_orbit(tuple(range(two_n))):
-        read = [image[i] for i in order]
-        table.append((read[0], itemgetter(*read)))
-    return tuple(table)
-
-
-def is_pair_canonical(labels: tuple[int, ...]) -> bool:
-    """Is the cycle, read in diameter order, the least image of its dihedral orbit?"""
-    first = labels[0]
-    if min(labels) < first:
-        return False  # the image starting at a least label reads smaller
-    images = _images(len(labels))
-    key = images[0][1](labels)
-    return all(key <= read(labels) for start, read in images if labels[start] == first)
+    first = cycle[0]
+    m = len(cycle)
+    twice = cycle + cycle
+    for j in range(1, m):
+        if cycle[j] <= first and twice[j : j + m] < cycle:
+            return False
+    rev = cycle[::-1]
+    twice = rev + rev
+    for j in range(m):
+        if rev[j] <= first and twice[j : j + m] < cycle:
+            return False
+    return True
 
 
 def gap_floor(
@@ -223,8 +213,11 @@ def run_shard(
     turns on the branch-and-bound cut: subtrees whose every leaf has a gap
     (cofacets - vertices) above the bound are skipped, and an evaluated leaf
     with a smaller gap lowers the bound to it.  Leaves whose gap is at most
-    the final bound are never cut.
+    the final bound are never cut.  Leaves are evaluated in the loop of the
+    last diameter, which must follow diameter 0, so ``n`` must be >= 2.
     """
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
     p = k + 1
     want_minimal = level in ("minimal", "extremal")
     adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
@@ -232,6 +225,7 @@ def run_shard(
     av = [0] * n  # front labels a_t
     bv = [0] * n  # back labels b_t
     codes = [0] * n  # (a, b) encoded as a * K + b for fast lexicographic compares
+    fcodes = [0] * n  # the flipped pair (b, a) encoded as b * K + a
     K = label_cap + 1
 
     best = bound
@@ -239,13 +233,16 @@ def run_shard(
     nodes = 0
 
     def leaf(f_run: int, s_run: int) -> None:
-        nonlocal best
-        # adjacency and semicircle mass are already settled by the floors at
-        # t = n-1 and minimality by the node test; canonicality needs the
-        # whole sequence
-        labels = tuple(av + bv)
-        if not is_pair_canonical(labels):
+        nonlocal nodes, best
+        nodes += 1
+        # the b loop of the last diameter calls this with every label set;
+        # adjacency and semicircle mass are already settled by its floors,
+        # and minimality and canonicality need the whole cycle
+        if want_minimal and not is_minimal_cycle(tuple(av + bv), k):
             return
+        if not is_pair_canonical(codes + fcodes):
+            return
+        labels = tuple(av + bv)
         gap = f_run - s_run
         if gap < 0:
             raise CounterexampleError(GaleDiagram(n=n, labels=labels), f_run, s_run)
@@ -273,17 +270,10 @@ def run_shard(
         # later diameters only add semicircle mass: a positive label whose
         # every containing semicircle already sums to at least k+2 can be
         # decremented in every completion, so none of them is minimal.
-        # Before the leaf, the semicircles of positions 2n-1 and n-1 hold
-        # every assigned front and back label with masses sa and sb; if
-        # neither exceeds p, no label can be decremented yet.
-        if (
-            want_minimal
-            and (t == n or sa > p or sb > p)
-            and not is_minimal_cycle(tuple(av + bv), k)
-        ):
-            return
-        if t == n:
-            leaf(f_run, s_run)
+        # The semicircles of positions 2n-1 and n-1 hold every assigned front
+        # and back label with masses sa and sb; if neither exceeds p, no
+        # label can be decremented yet.
+        if want_minimal and (sa > p or sb > p) and not is_minimal_cycle(tuple(av + bv), k):
             return
 
         budget = sum_cap - s_run
@@ -347,12 +337,11 @@ def run_shard(
                 break
         rv1 = 0
         for s in range(1, t):
-            x = bv[t - s] * K + av[t - s]
+            x = fcodes[t - s]
             y = codes[s]
             if x != y:
                 rv1 = -1 if x < y else 1
                 break
-        fd0c = bv[0] * K + av[0]
 
         floor_rest = slots - 1  # every remaining diameter carries mass
         if s_run + a_lo + floor_rest > sum_cap:
@@ -422,7 +411,7 @@ def run_shard(
                 fcode = b * K + a
                 if code == d0c and rv0 < 0:
                     continue
-                if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fd0c < code)):
+                if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fcodes[0] < code)):
                     continue
                 f_child = f_a + a * b + b * xb
                 s_child = s_run + a + b
@@ -443,15 +432,18 @@ def run_shard(
                         if b >= b_star:
                             break
                         continue
+                av[t] = a
+                bv[t] = b
+                codes[t] = code
+                fcodes[t] = fcode
+                if t == n - 1:
+                    leaf(f_child, s_child)
+                    continue
+
                 saa = sa + a
                 sbb = sb + b
                 nmf = mf if mf >= saa - sb else saa - sb
                 nmb = mb if mb >= sbb - sa else sbb - sa
-
-                av[t] = a
-                bv[t] = b
-                codes[t] = code
-
                 nlive0 = [j for j in live0 if codes[t - j] == code]
                 if code == d0c:
                     nlive0.append(t)
@@ -484,6 +476,7 @@ def run_shard(
         av[0] = a0
         bv[0] = b0
         codes[0] = a0 * K + b0
+        fcodes[0] = b0 * K + a0
         dfs(
             1,
             a0 + b0,

@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from itertools import islice
 
 from . import bounds as bounds_mod
@@ -138,13 +139,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_file(path: str | None, default=None):
+    """``--out`` opened for writing, else ``default``; a bad path is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8") if path else nullcontext(default)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def _cmd_delta3(args, out) -> int:
     config = SearchConfig(
         k=args.k, prune_level=args.prune, emit_all=args.emit_all, jobs=args.jobs
     )
-    result = find_delta3(config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _out_file(args.out) as fh:  # opened before the search, so a bad path fails fast
+        result = find_delta3(config)
+        if fh:
             write_results_jsonl(result, fh)
     if args.format == "json":
         out.write(json.dumps(result.to_json()) + "\n")
@@ -166,13 +175,9 @@ def _cmd_enumerate(args, out) -> int:
     if args.limit is not None and args.limit < 0:
         raise ParameterError(f"--limit must be >= 0, got {args.limit}")
     config = SearchConfig(k=args.k, prune_level=args.prune)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
-    try:
+    with _out_file(args.out, out) as sink:
         for diagram in islice(enumerate_diagrams(config), args.limit):
             sink.write(json.dumps(diagram.to_json()) + "\n")
-    finally:
-        if args.out:
-            sink.close()
     return 0
 
 

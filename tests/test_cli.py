@@ -165,6 +165,13 @@ class TestDelta3:
             assert line["cofacets"] - line["vertices"] == 4
             assert parsed.vertex_count == line["vertices"]
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "witnesses.jsonl"
+        code, out, err = run(capsys, "delta3", "--k", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
 
 class TestEnumerate:
     def test_stream_limit(self, capsys):
@@ -197,6 +204,13 @@ class TestEnumerate:
             for line in target.read_text().splitlines()
         ]
         assert GaleDiagram(4, (1,) * 8) in parsed
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "stream.jsonl"
+        code, out, err = run(capsys, "enumerate", "--k", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
 
 
 class TestVerify:

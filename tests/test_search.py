@@ -78,6 +78,10 @@ class TestConfig:
         with pytest.raises(ParameterError, match="must be integers"):
             SearchConfig(**kwargs)
 
+    def test_run_shard_needs_two_diameters(self):
+        with pytest.raises(ParameterError):
+            run_shard(2, 1, 0, "marcus", 12, 3, None)
+
     def test_empty_override_space_is_an_error(self):
         # every semicircle needs k+1 mass, so a sum cap of 2(k+1) admits no
         # diagram at all (each window pair needs more than the cap)
@@ -108,6 +112,19 @@ def diameter_order(labels):
     return [x for pair in zip(labels[:n], labels[n:]) for x in pair]
 
 
+def pair_cycle(labels, K):
+    """The code cycle ``is_pair_canonical`` reads: a_t K + b_t for every t, then b_t K + a_t."""
+    n = len(labels) // 2
+    pairs = list(zip(labels[:n], labels[n:]))
+    return [a * K + b for a, b in pairs] + [b * K + a for a, b in pairs]
+
+
+def is_pair_canonical_reference(labels):
+    """Is the label cycle, read in diameter order, the least image of its dihedral orbit?"""
+    key = diameter_order(labels)
+    return all(key <= diameter_order(v) for v in dihedral_orbit(labels))
+
+
 class TestPairSymmetry:
     @given(
         st.integers(2, 8).flatmap(
@@ -118,7 +135,7 @@ class TestPairSymmetry:
         labels = tuple(labels)
         n = len(labels) // 2
         orbit = set(dihedral_orbit(labels))
-        accepted = [v for v in orbit if is_pair_canonical(v)]
+        accepted = [v for v in orbit if is_pair_canonical(pair_cycle(v, 5))]
         # the accepted member is the least image read as a diameter pair sequence
         assert accepted == [min(orbit, key=lambda v: list(zip(v[:n], v[n:])))]
 
@@ -133,11 +150,10 @@ class TestPairSymmetry:
     )
     def test_matches_reference_on_ties(self, labels):
         # two-letter cycles tie on many images; the check compares only the
-        # images that start at a label equal to the first one
+        # rotations that start at a code at most the first one
         labels = tuple(labels)
-        key = diameter_order(labels)
-        expected = all(key <= diameter_order(v) for v in dihedral_orbit(labels))
-        assert is_pair_canonical(labels) == expected
+        expected = is_pair_canonical_reference(labels)
+        assert is_pair_canonical(pair_cycle(labels, 4)) == expected
 
     @pytest.mark.parametrize(
         "labels",
@@ -153,9 +169,27 @@ class TestPairSymmetry:
         ],
     )
     def test_matches_reference_on_symmetric_cycles(self, labels):
-        key = diameter_order(labels)
-        expected = all(key <= diameter_order(v) for v in dihedral_orbit(labels))
-        assert is_pair_canonical(labels) == expected
+        expected = is_pair_canonical_reference(labels)
+        assert is_pair_canonical(pair_cycle(labels, 3)) == expected
+
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda n: st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n)
+        ),
+        st.sampled_from([1, 3]),
+    )
+    @example([1, 2, 1, 2, 1, 2, 1, 2], 1)  # periodic: every other rotation ties
+    @example([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 1)
+    @example([1, 2, 2, 1, 2, 2], 1)  # a palindrome ties its reversal
+    @example([0, 0, 1, 0, 0, 1, 0, 0], 3)
+    @example([2, 1, 1, 2, 2, 1, 1, 2], 1)
+    @example([0, 1, 2, 2, 1, 0, 0, 1], 1)  # the smaller rotation starts past the middle
+    def test_code_cycle_matches_reference(self, labels, pad):
+        # the least-rotation rule on the code cycle is the diameter-order
+        # least-image rule, with K tight (max + 1) or loose (max + 3)
+        labels = tuple(labels)
+        cycle = pair_cycle(labels, max(labels) + pad)
+        assert is_pair_canonical(cycle) == is_pair_canonical_reference(labels)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_orbit_of_distinct_labels_is_complete(self, n):
@@ -559,7 +593,13 @@ class TestBoundCut:
         if (k, level) == (3, "marcus"):
             unbounded = request.getfixturevalue("marcus_k3_shards")
         else:
-            unbounded = ((args, run_shard(*args)) for args in _shard_args(config, None))
+            unbounded = [(args, run_shard(*args)) for args in _shard_args(config, None)]
+        if level == "marcus":
+            # the unbounded space: its leaves are fixed, and stronger cuts
+            # may lower its node count but never raise it
+            leaves, ceiling = {2: (5051, 30513), 3: (315720, 1764348)}[k]
+            assert sum(full.evaluated for _, full in unbounded) == leaves
+            assert sum(full.nodes for _, full in unbounded) <= ceiling
         for args, full in unbounded:
             every = set(full.leaves)
             gaps = [f - v for _, f, v in full.leaves]
