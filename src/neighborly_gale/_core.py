@@ -68,6 +68,38 @@ lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0) prune
 prefixes.  While every diameter so far is symmetric (a_s = b_s), the
 pair-flipped image without rotation ties the identity, so the next
 diameter needs a_t <= b_t.
+
+One shard searches a run of diameter counts n..n_last as one tree.  A
+prefix of t diameters is one node for every count above t that can still
+complete it, and the node carries the least and the largest such count,
+lo and hi.  Each test that depends on the count narrows that range where
+the single-count search would return, in the direction its monotonicity
+allows.  The deficits need at most ``label_cap`` per side on each of the
+n - t open diameters, which raises lo.  Every later diameter carries mass
+within the sum cap, which lowers hi, and so does each child's room.  For
+a child with r = n - t - 1 diameters after it, the deficits must fit into
+its mass cap min(room, 2 label_cap r), which raises the child's lo.
+``gap_floor`` does not fall as r grows when the child's xa and xb are
+both >= 1, which lowers the child's hi; otherwise it falls with that mass
+cap, which does not fall as r grows, and so it raises the child's lo
+(``floor_rests`` gives both ends).  A node whose lo is t + 1 first
+searches that count alone, where this diameter is the last and has its
+own floors, then the counts above it.  ``front_floor``'s h does not depend
+on the count, and a front label's b range is widest at the least open
+count, so the per-a skip and the front label break, taken there, hold at
+every open count.  The b loop ends at a cut at or past b_star only when
+the floor cut every open count: past b_star the floor rises with the
+count and never falls with b.  A count that the deficit test alone
+dropped may come back at a later b, which lowers dbr, so that cut never
+ends the loop.  A leaf of any count lowers the bound for all of them.
+
+The minimality test of an inner node does not depend on the count.  The
+semicircles holding a positive label at front position i < t start at
+front positions 0..i-1 and back positions i+1..n-1; read with diameters
+t.. as 0, the sum at a back position u >= t is sa, whatever n, and the
+others involve only assigned labels.  Padding the prefix to any n > t
+only repeats sa (sb for a back label) among those sums, so the least of
+them, and whether the label can be decremented, stays the same.
 """
 from __future__ import annotations
 
@@ -118,6 +150,36 @@ def gap_floor(
     if short > 0:
         floor += short * (xa - 1 if xa < xb else xb - 1)  # on the cheaper side
     return floor
+
+
+def floor_rests(
+    f: int, s: int, xa: int, xb: int, dfr: int, dbr: int, fut: int, two_cap: int, bound: int
+) -> tuple[int, int]:
+    """Least and largest count r of open diameters at which ``gap_floor`` <= ``bound``.
+
+    The state is that of ``gap_floor``, with ``fut`` the most mass the
+    child leaves room for: r open diameters need at least r and hold at
+    most min(fut, two_cap r), so r runs over 0..fut and that cap is
+    ``gap_floor``'s fut.  When xa and xb are both >= 1 the floor ignores the
+    cap and does not fall as r grows, so the kept r run from 0 up.
+    Otherwise the floor falls by one per unit of the cap, which does not
+    fall as r grows, so the kept r run up to fut.  An empty range (lo > hi)
+    means no r is kept.
+    """
+    floor = f - s + dfr * (xa - 1) + dbr * (xb - 1)
+    if xa == 0 or xb == 0:
+        # floor - (min(fut, two_cap r) - dfr - dbr) <= bound
+        q = floor + dfr + dbr - bound
+        if q > fut:
+            return 1, 0
+        return (-(-q // two_cap) if q > 0 else 0), fut
+    if floor > bound:
+        return 1, 0
+    m = (xa if xa < xb else xb) - 1  # the cheaper side's net charge per unit
+    if m == 0:
+        return 0, fut
+    r = dfr + dbr + (bound - floor) // m
+    return 0, r if r < fut else fut
 
 
 def front_floor(
@@ -186,9 +248,10 @@ def front_floor(
 class ShardResult(NamedTuple):
     """Outcome of one shard: every leaf it evaluated, with the search effort.
 
-    ``leaves`` holds (labels, cofacets, vertices) per evaluated leaf, labels
-    being the front labels followed by the back labels; ``evaluated`` is
-    their number.
+    ``n`` is the least diameter count of the shard.  ``leaves`` holds
+    (labels, cofacets, vertices) per evaluated leaf, labels being the front
+    labels followed by the back labels, so a leaf has len(labels) // 2
+    diameters; ``evaluated`` is their number.
     """
 
     n: int
@@ -206,52 +269,69 @@ def run_shard(
     sum_cap: int,
     label_cap: int,
     bound: int | None,
+    n_last: int | None = None,
 ) -> ShardResult:
     """Search the branch where the first diameter's front label is ``first_a``.
 
+    The branch holds every diameter count from ``n`` to ``n_last`` (default
+    ``n``), searched as one tree: each node carries the counts still open.
     With ``bound`` None every leaf of the branch is evaluated.  An int bound
     turns on the branch-and-bound cut: subtrees whose every leaf has a gap
     (cofacets - vertices) above the bound are skipped, and an evaluated leaf
-    with a smaller gap lowers the bound to it.  Leaves whose gap is at most
-    the final bound are never cut.  Leaves are evaluated in the loop of the
-    last diameter, which must follow diameter 0, so ``n`` must be >= 2.
+    with a smaller gap lowers the bound to it, for every count.  Leaves
+    whose gap is at most the final bound are never cut.  Leaves are
+    evaluated in the loop of the last diameter, which must follow diameter
+    0, so ``n`` must be >= 2.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
+    if n_last is None:
+        n_last = n
+    elif n_last < n:
+        raise ParameterError(f"n_last must be >= n = {n}, got {n_last}")
     p = k + 1
     want_minimal = level in ("minimal", "extremal")
     adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
 
-    av = [0] * n  # front labels a_t
-    bv = [0] * n  # back labels b_t
-    codes = [0] * n  # (a, b) encoded as a * K + b for fast lexicographic compares
-    fcodes = [0] * n  # the flipped pair (b, a) encoded as b * K + a
+    # diameters t.. of the arrays are 0 while the search is at depth t
+    av = [0] * n_last  # front labels a_t
+    bv = [0] * n_last  # back labels b_t
+    codes = [0] * n_last  # (a, b) encoded as a * K + b for fast lexicographic compares
+    fcodes = [0] * n_last  # the flipped pair (b, a) encoded as b * K + a
     K = label_cap + 1
+    two_cap = 2 * label_cap  # the most mass one open diameter holds
 
     best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
     nodes = 0
 
-    def leaf(f_run: int, s_run: int) -> None:
+    def leaf(m: int, f_run: int, s_run: int) -> None:
         nonlocal nodes, best
         nodes += 1
-        # the b loop of the last diameter calls this with every label set;
-        # adjacency and semicircle mass are already settled by its floors,
-        # and minimality and canonicality need the whole cycle
-        if want_minimal and not is_minimal_cycle(tuple(av + bv), k):
+        # the b loop of diameter m-1 calls this with every label of an
+        # m-diameter cycle set; adjacency and semicircle mass are already
+        # settled by its floors, and minimality and canonicality need the
+        # whole cycle
+        if m < n_last:  # a shorter count of the run: its diameters come first
+            front, back, cycle = av[:m], bv[:m], codes[:m] + fcodes[:m]
+        else:
+            front, back, cycle = av, bv, codes + fcodes
+        if want_minimal and not is_minimal_cycle(tuple(front + back), k):
             return
-        if not is_pair_canonical(codes + fcodes):
+        if not is_pair_canonical(cycle):
             return
-        labels = tuple(av + bv)
+        labels = tuple(front + back)
         gap = f_run - s_run
         if gap < 0:
-            raise CounterexampleError(GaleDiagram(n=n, labels=labels), f_run, s_run)
+            raise CounterexampleError(GaleDiagram(n=m, labels=labels), f_run, s_run)
         leaves.append((labels, f_run, s_run))
         if best is not None and gap < best:
             best = gap
 
     def dfs(
         t: int,
+        lo: int,  # the least and the largest diameter count still open
+        hi: int,
         s_run: int,
         f_run: int,
         sa: int,
@@ -264,7 +344,14 @@ def run_shard(
         live1: list[int],  # rotations j tied after the global pair flip
     ) -> None:
         nonlocal nodes
-        nodes += 1
+        if hi > lo and lo == t + 1:
+            # count t + 1 ends with this diameter, and its children are
+            # leaves: search it on its own, which counts this node, then the
+            # counts above it, which share every child
+            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1)
+            lo += 1
+        else:
+            nodes += 1
         # diameters t.. are still 0 here (each loop below resets its own
         # entry on exit, and every early return precedes its assignment), and
         # later diameters only add semicircle mass: a positive label whose
@@ -272,30 +359,37 @@ def run_shard(
         # decremented in every completion, so none of them is minimal.
         # The semicircles of positions 2n-1 and n-1 hold every assigned front
         # and back label with masses sa and sb; if neither exceeds p, no
-        # label can be decremented yet.
+        # label can be decremented yet.  The test reads the same at every
+        # open count (see the module docstring).
         if want_minimal and (sa > p or sb > p) and not is_minimal_cycle(tuple(av + bv), k):
             return
 
-        budget = sum_cap - s_run
-        slots = n - t  # unassigned diameters, this one included
-
         # worst semicircle deficits; front deficits can only be paid with
-        # future front labels and back deficits with future back labels
+        # future front labels and back deficits with future back labels, at
+        # most label_cap on each of the n - t open diameters
         d_front = p - sa + mf
         d_back = p - sb + mb
-        cap_room = slots * label_cap
-        if d_front > cap_room or d_back > cap_room:
-            return
+        d_max = d_front if d_front > d_back else d_back
+        if d_max > (lo - t) * label_cap:
+            lo = t - (-d_max // label_cap)
         df = d_front if d_front > 0 else 0
         db = d_back if d_back > 0 else 0
-        if df + db > budget:
+        if df + db > sum_cap - s_run:
             return
 
         d0c = codes[0]
         # a_t follows a_{t-1} and b_t follows b_{t-1} around the polygon
         a_lo = adj - av[t - 1] if av[t - 1] < adj else 0
         b_base = adj - bv[t - 1] if bv[t - 1] < adj else 0
-        if t == n - 1:
+        # this diameter carries at least a_lo and at least 1, every later one
+        # at least 1: child (a, b) leaves room for the counts up to top - a - b
+        top = sum_cap + t + 1 - s_run
+        if hi > top - (a_lo or 1):
+            hi = top - (a_lo or 1)
+        if lo > hi:
+            return
+        last = lo == t + 1  # then hi == lo: this diameter is the last
+        if last:
             # the two semicircles that avoid the last diameter are settled
             if sa < p or sb < p:
                 return
@@ -343,23 +437,23 @@ def run_shard(
                 rv1 = -1 if x < y else 1
                 break
 
-        floor_rest = slots - 1  # every remaining diameter carries mass
-        if s_run + a_lo + floor_rest > sum_cap:
-            return
         ra1, rb1 = divmod(r1, K)
         ra2, rb2 = divmod(r2, K)
+        c_lo = lo  # each child's open counts; the cut narrows them per child
+        c_hi = hi
         if best is not None:
             # the back deficit left after child (a, b) is e0 + max(0, kink - b)
             e0 = p - sa if p > sa else 0
             kink = p - sb + mb - e0
-            fut_cap = 2 * label_cap * floor_rest
             # every child has b >= b_base and, from the flipped pair floor
             # below, b >= ra2, whatever its front label
             lo_later = b_base if b_base > ra2 else ra2
 
-        # a rotation tied with the identity floors a at ra1
+        # a rotation tied with the identity floors a at ra1.  The b range is
+        # widest at the least open count, so the per-a floor and the front
+        # label break, taken there, hold for every open count.
         for a in range(a_lo if a_lo > ra1 else ra1, label_cap + 1):
-            room = sum_cap - s_run - a - floor_rest
+            room = top - a - lo
             if room < 0:
                 break
             b_lo = b_base
@@ -419,25 +513,39 @@ def run_shard(
                 if best is not None:
                     d = kink - b
                     dbr = e0 + d if d > 0 else e0
+                    need = dfr + dbr
                     fut = sum_cap - s_child
-                    if fut > fut_cap:
-                        fut = fut_cap
-                    if dfr + dbr > fut:
-                        # the child's deficit test would return; a later b
-                        # lowers dbr, and fut stops falling once capped
-                        continue
-                    if gap_floor(f_child, s_child, nxa, nxb, dfr, dbr, floor_rest, fut) > best:
-                        # past b_star the floor never falls and best never
-                        # rises, so every later b is cut too
-                        if b >= b_star:
+                    if need > fut:
+                        continue  # the child's deficit test returns at every count
+                    # the open diameters hold the deficits from count fit on
+                    fit = t + 1 - (-need // two_cap)
+                    r_lo, r_hi = floor_rests(
+                        f_child, s_child, nxa, nxb, dfr, dbr, fut, two_cap, best
+                    )
+                    c_lo = t + 1 + r_lo
+                    if c_lo < fit:
+                        c_lo = fit
+                    if c_lo < lo:
+                        c_lo = lo
+                    c_hi = t + 1 + r_hi
+                    if c_hi > hi:
+                        c_hi = hi
+                    if c_lo > c_hi:
+                        # at b >= b_star the floor rises with the count, so
+                        # with the deficits fitting at lo it cut every open
+                        # count; past b_star it never falls and best never
+                        # rises, so every later b is cut too.  A count that
+                        # the deficits alone dropped may come back at a
+                        # later b, which lowers dbr.
+                        if b >= b_star and fit <= lo:
                             break
                         continue
                 av[t] = a
                 bv[t] = b
                 codes[t] = code
                 fcodes[t] = fcode
-                if t == n - 1:
-                    leaf(f_child, s_child)
+                if last:
+                    leaf(lo, f_child, s_child)
                     continue
 
                 saa = sa + a
@@ -453,6 +561,8 @@ def run_shard(
 
                 dfs(
                     t + 1,
+                    c_lo,
+                    c_hi,
                     s_child,
                     f_child,
                     saa,
@@ -471,7 +581,9 @@ def run_shard(
     # at t = 0 the pair-flipped view forces a_0 <= b_0; the shard fixes a_0
     a0 = first_a
     for b0 in range(a0 if a0 > 0 else 1, label_cap + 1):
-        if a0 + b0 + (n - 1) > sum_cap:
+        # every later diameter carries mass
+        hi = sum_cap - a0 - b0 + 1
+        if hi < n:
             break
         av[0] = a0
         bv[0] = b0
@@ -479,6 +591,8 @@ def run_shard(
         fcodes[0] = b0 * K + a0
         dfs(
             1,
+            n,
+            hi if hi < n_last else n_last,
             a0 + b0,
             a0 * b0,
             a0,

@@ -25,13 +25,20 @@ and stops the b loop at the first cut at or past that minimum.  The same
 test ends the front label loop where it provably also holds for every
 later front label.  Subtrees that could still tie the best value are never
 cut, so every witness is found.
+
+``find_delta3`` runs one shard per first front label and run of diameter
+counts with one label cap: every count at ``marcus`` and ``minimal``, a few
+runs at ``extremal``.  A prefix is then searched once for all the counts it
+can still complete, and a leaf of any count tightens the bound for all of
+them.  ``enumerate_diagrams`` keeps one shard per (n, a0), so its stream
+stays grouped by diameter count.
 """
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import groupby, starmap
 from multiprocessing import Pool
 
 from ._core import run_shard
@@ -145,6 +152,23 @@ def _shard_args(config: SearchConfig, bound: int | None) -> list[tuple]:
     ]
 
 
+def _run_args(config: SearchConfig, bound: int | None) -> list[tuple]:
+    """``run_shard`` arguments of one shard per first label a0 and run of counts.
+
+    A run is a maximal range n..n_last of diameter counts with one label cap;
+    its shard searches all of them in one tree.
+    """
+    sum_cap = _sum_cap(config)
+    args = []
+    for cap, run in groupby(_n_range(config), lambda n: _label_cap(config, n)):
+        counts = list(run)
+        args += [
+            (config.k, counts[0], first, config.prune_level, sum_cap, cap, bound, counts[-1])
+            for first in range(cap + 1)
+        ]
+    return args
+
+
 def _seed_gap(k: int, sum_cap: int) -> int | None:
     """Gap of the 4-gon diagram with all labels k+1, or None if the sum cap excludes it.
 
@@ -169,17 +193,24 @@ def enumerate_diagrams(config: SearchConfig):
             yield GaleDiagram(shard.n, least_image(labels))
 
 
+def _run_shard(args: tuple):
+    """``run_shard`` on one task, for ``Pool.imap_unordered``."""
+    return run_shard(*args)
+
+
 def find_delta3(config: SearchConfig) -> SearchResult:
     """Exact minimum of (cofacets - vertices) over the configured space.
 
     Deterministic for any ``jobs``: shards never exchange bounds, so the
-    explored tree is identical under any work distribution.
+    explored tree is identical under any work distribution.  Pool workers
+    return shards as they finish, so a worker's ``CounterexampleError``
+    reaches the caller without waiting for the other shards.
     """
     start = time.monotonic()
-    tasks = _shard_args(config, _seed_gap(config.k, _sum_cap(config)))
+    tasks = _run_args(config, _seed_gap(config.k, _sum_cap(config)))
     if config.jobs > 1:
         with Pool(processes=config.jobs) as pool:
-            shards = pool.starmap(run_shard, tasks)
+            shards = list(pool.imap_unordered(_run_shard, tasks, chunksize=1))
     else:
         shards = list(starmap(run_shard, tasks))
 
@@ -189,7 +220,7 @@ def find_delta3(config: SearchConfig) -> SearchResult:
     best = min(gaps)
     found = sorted(
         (
-            canonical_form(GaleDiagram(n=shard.n, labels=labels))
+            canonical_form(GaleDiagram(n=len(labels) // 2, labels=labels))
             for shard in shards
             for labels, f, v in shard.leaves
             if f - v == best
@@ -221,8 +252,8 @@ def verify_theorem1(
     flag.  A searched minimum below zero aborts earlier with the offending
     witness, so a completed table doubles as the facets >= vertices check.
     """
-    if not 2 <= k_max <= 12:
-        raise ParameterError(f"k_max must be between 2 and 12, got {k_max}")
+    if not 2 <= k_max <= 16:
+        raise ParameterError(f"k_max must be between 2 and 16, got {k_max}")
     rows = []
     for k in range(2, k_max + 1):
         result = find_delta3(

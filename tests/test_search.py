@@ -2,15 +2,23 @@
 import io
 import json
 import pickle
+import time
 from itertools import product
-from multiprocessing import Pool
+from multiprocessing import Pool, get_start_method
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from neighborly_gale import _core
-from neighborly_gale._core import front_floor, gap_floor, is_pair_canonical, run_shard
+from neighborly_gale import _core, search
+from neighborly_gale._core import (
+    floor_rests,
+    front_floor,
+    gap_floor,
+    is_pair_canonical,
+    run_shard,
+)
 from neighborly_gale.diagram import (
     GaleDiagram,
     canonical_form,
@@ -27,6 +35,7 @@ from neighborly_gale.search import (
     SearchConfig,
     _label_cap,
     _n_range,
+    _run_args,
     _seed_gap,
     _shard_args,
     _sum_cap,
@@ -81,6 +90,10 @@ class TestConfig:
     def test_run_shard_needs_two_diameters(self):
         with pytest.raises(ParameterError):
             run_shard(2, 1, 0, "marcus", 12, 3, None)
+
+    def test_run_shard_needs_counts_in_order(self):
+        with pytest.raises(ParameterError):
+            run_shard(2, 3, 0, "marcus", 12, 3, None, 2)
 
     def test_empty_override_space_is_an_error(self):
         # every semicircle needs k+1 mass, so a sum cap of 2(k+1) admits no
@@ -236,6 +249,26 @@ class TestMinimalCut:
         padded = tuple(x if i % n < t else 0 for i, x in enumerate(labels))
         assume(sum(padded[:n]) <= k + 1 and sum(padded[n:]) <= k + 1)
         assert is_minimal_cycle(padded, k)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda t: st.lists(st.integers(0, 4), min_size=2 * t, max_size=2 * t)
+        ),
+        st.integers(1, 6),
+    )
+    @example([3, 0, 0, 3], 2)  # a label held only by semicircles of the padding
+    def test_padded_prefix_reads_the_same_at_every_count(self, labels, k):
+        # an inner node of a run tests minimality once for all its open
+        # counts: the prefix padded with zero diameters to any n > t
+        t = len(labels) // 2
+        front, back = labels[:t], labels[t:]
+
+        def padded(n):
+            return tuple(front + [0] * (n - t) + back + [0] * (n - t))
+
+        expected = is_minimal_cycle(padded(t + 1), k)
+        for n in range(t + 2, t + 6):
+            assert is_minimal_cycle(padded(n), k) == expected, n
 
     @pytest.mark.parametrize("k,n_max", [(2, None), (3, 5)])
     def test_minimal_stream_is_filtered_marcus_stream(self, k, n_max):
@@ -406,7 +439,7 @@ class TestFindDelta3:
     # ids leave out the ceilings, so lowering one keeps the test's name
     @pytest.mark.parametrize(
         "k,ceiling",
-        [(2, 617), (3, 2151), (4, 6086), (5, 14852), (6, 32649)],
+        [(2, 105), (3, 260), (4, 573), (5, 1152), (6, 2152)],
         ids=["k2", "k3", "k4", "k5", "k6"],
     )
     def test_marcus_node_ceiling(self, k, ceiling):
@@ -417,16 +450,16 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,ceiling",
         [
-            ("minimal", 2, 617),
-            ("minimal", 3, 2143),
-            ("minimal", 4, 6075),
-            ("minimal", 5, 14807),
-            ("minimal", 6, 32565),
-            ("extremal", 2, 75),
-            ("extremal", 3, 229),
-            ("extremal", 4, 505),
-            ("extremal", 5, 1084),
-            ("extremal", 6, 2110),
+            ("minimal", 2, 105),
+            ("minimal", 3, 259),
+            ("minimal", 4, 572),
+            ("minimal", 5, 1148),
+            ("minimal", 6, 2146),
+            ("extremal", 2, 35),
+            ("extremal", 3, 122),
+            ("extremal", 4, 278),
+            ("extremal", 5, 602),
+            ("extremal", 6, 1179),
         ],
         ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)],
     )
@@ -520,6 +553,35 @@ class TestGapFloor:
             min(4 * p - s, 2 * p * open_diameters),
         )
         assert floor <= least
+
+
+class TestFloorRests:
+    @given(
+        st.integers(-40, 40),
+        st.integers(0, 40),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 8),
+        st.integers(0, 8),
+        st.integers(0, 30),
+        st.integers(1, 8),
+        st.integers(-10, 60),
+    )
+    @example(10, 4, 0, 3, 2, 1, 20, 3, 5)  # a unit worth -1: the kept r start above 0
+    @example(0, 4, 3, 5, 1, 1, 20, 3, 4)  # the floor rises with r: the kept r end below fut
+    def test_matches_gap_floor_at_every_count(
+        self, f, s, xa, xb, dfr, dbr, fut, cap, bound
+    ):
+        # the run narrows a child's open counts to the r at which gap_floor,
+        # with the mass cap of r open diameters, is at most the bound
+        lo, hi = floor_rests(f, s, xa, xb, dfr, dbr, fut, 2 * cap, bound)
+        kept = [
+            r
+            for r in range(fut + 1)
+            if gap_floor(f, s, xa, xb, dfr, dbr, r, min(fut, 2 * cap * r)) <= bound
+        ]
+        assert kept == list(range(max(lo, 0), min(hi, fut) + 1))
+        assert lo > hi or 0 <= lo <= hi <= fut
 
 
 def child_floor(front, back, a, b, open_diameters, k):
@@ -625,6 +687,13 @@ class TestBoundCut:
                 for bound in (value - 1, value, value + 3):
                     cases += _shard_args(SearchConfig(k=k, prune_level=level), bound)
         cases += [(6, n, 1, "marcus", 28, 7, delta3_closed_form(6) + 3) for n in range(5, 12)]
+        # one tree per run of counts: the per-a steps are taken at the least
+        # open count, and the b loop ends only where every open count is cut
+        for level in PRUNE_LEVELS:
+            for k in (2, 3, 4, 5):
+                value = delta3_closed_form(k)
+                for bound in (value - 1, value, value + 3):
+                    cases += _run_args(SearchConfig(k=k, prune_level=level), bound)
         fast = [run_shard(*args) for args in cases]
         # (h, b_star, ends): h below every bound, b_star past hi, never ends
         monkeypatch.setattr(
@@ -632,6 +701,102 @@ class TestBoundCut:
         )
         for args, shard in zip(cases, fast):
             assert run_shard(*args) == shard, args
+
+
+class TestRunShards:
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_run_keeps_what_its_counts_keep(self, k, level):
+        # a run searches its counts in one tree with one bound, which a leaf
+        # of any count lowers: within the final bound it keeps exactly the
+        # leaves the one-count shards keep, and it searches fewer nodes
+        config = SearchConfig(k=k, prune_level=level)
+        value = delta3_closed_form(k)
+        for bound in {_seed_gap(k, _sum_cap(config)), value + 3, value, value - 1}:
+            single = {
+                (args[1], args[2]): run_shard(*args) for args in _shard_args(config, bound)
+            }
+            for args in _run_args(config, bound):
+                n, first, n_last = args[1], args[2], args[7]
+                run = run_shard(*args)
+                parts = [single[m, first] for m in range(n, n_last + 1)]
+                every = [leaf for part in parts for leaf in part.leaves]
+                final = min([bound] + [f - v for _, f, v in run.leaves])
+                assert final == min([bound] + [f - v for _, f, v in every]), args
+                assert {leaf for leaf in run.leaves if leaf[1] - leaf[2] <= final} == {
+                    leaf for leaf in every if leaf[1] - leaf[2] <= final
+                }, args
+                assert set(run.leaves) <= set(every)
+                assert run.n == n
+                assert run.nodes <= sum(part.nodes for part in parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.sampled_from(PRUNE_LEVELS),
+        st.integers(0, 3),
+        st.integers(0, 12),
+        st.integers(2, 5),
+        st.integers(0, 4),
+        st.integers(0, 6),
+        st.integers(-5, 60),
+    )
+    # the deficits alone drop a count at a b past b_star, and a later b
+    # brings it back: the b loop must not end there
+    @example(3, "marcus", 2, 2, 4, 1, 0, 27)
+    def test_run_cuts_only_what_the_child_test_cuts(
+        self, k, level, cap_drop, sum_extra, n, more, first, bound
+    ):
+        # label caps below k+1 and slack sum caps: the per-a steps, taken at
+        # the least open count, and the b loop's end must match, node for
+        # node, a search that tests every child at every count; within its
+        # final bound the run keeps what its one-count shards keep
+        cap = max(2, k + 1 - cap_drop)
+        args = (k, n, min(first, cap), level, 2 * (k + 1) + sum_extra, cap, bound, n + more)
+        run = run_shard(*args)
+        with patch.object(_core, "front_floor", lambda *a: (-(10**9), a[11] + 1, False)):
+            assert run_shard(*args) == run
+        every = [
+            leaf
+            for m in range(n, n + more + 1)
+            for leaf in run_shard(k, m, *args[2:7]).leaves
+        ]
+        final = min([bound] + [f - v for _, f, v in every])
+        assert {leaf for leaf in run.leaves if leaf[1] - leaf[2] <= final} == {
+            leaf for leaf in every if leaf[1] - leaf[2] <= final
+        }
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    def test_unbounded_run_is_its_counts(self, level):
+        # without a bound a run evaluates every leaf of every count
+        config = SearchConfig(k=2, prune_level=level)
+        for args in _run_args(config, None):
+            n, first, n_last = args[1], args[2], args[7]
+            run = run_shard(*args)
+            every = [
+                leaf
+                for m in range(n, n_last + 1)
+                for leaf in run_shard(args[0], m, first, *args[3:7]).leaves
+            ]
+            assert sorted(run.leaves) == sorted(every)
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    def test_runs_cover_every_shard(self, level):
+        # one run per first label and maximal range of counts with one label
+        # cap; marcus and minimal have one cap, so one range
+        for k in (2, 3, 6):
+            config = SearchConfig(k=k, prune_level=level)
+            counts = _n_range(config)
+            runs = _run_args(config, None)
+            covered = [(m, args[2]) for args in runs for m in range(args[1], args[7] + 1)]
+            assert sorted(covered) == sorted(args[1:3] for args in _shard_args(config, None))
+            for args in runs:
+                n, cap, n_last = args[1], args[5], args[7]
+                assert {_label_cap(config, m) for m in range(n, n_last + 1)} == {cap}
+                for m in (n - 1, n_last + 1):
+                    assert m not in counts or _label_cap(config, m) != cap
+            if level != "extremal":
+                assert len(runs) == k + 2
 
 
 class TestVerifyTheorem1:
@@ -646,7 +811,7 @@ class TestVerifyTheorem1:
         with pytest.raises(ParameterError):
             verify_theorem1(1)
         with pytest.raises(ParameterError):
-            verify_theorem1(13)
+            verify_theorem1(17)
         assert verify_theorem1(8)[-1]["k"] == 8
 
     def test_through_k12(self):
@@ -665,7 +830,13 @@ class TestVerifyTheorem1:
         result = find_delta3(SearchConfig(k=7, prune_level="marcus", emit_all=True))
         assert result.delta3 == delta3_closed_form(7) == 96
         assert result.witnesses == (GaleDiagram(2, (8, 8, 8, 8)),)
-        assert result.stats.nodes <= 65110
+        assert result.stats.nodes <= 3731
+
+    def test_marcus_through_k10(self):
+        # the provably complete level matches the closed form, k = 2..10
+        rows = verify_theorem1(10, prune_level="marcus")
+        assert [r["k"] for r in rows] == list(range(2, 11))
+        assert all(r["match"] for r in rows), rows
 
 
 class TestResultSerialization:
@@ -714,5 +885,24 @@ class TestConjectureGuard:
         assert (info.value.cofacets, info.value.vertices) == (3, 5)
 
 
+    @pytest.mark.skipif(
+        get_start_method() != "fork", reason="the patched shard must reach forked workers"
+    )
+    def test_worker_error_does_not_wait_for_other_shards(self, monkeypatch):
+        # one shard raises at once while every other one sleeps: the error
+        # must reach the caller before the sleeping shards end
+        monkeypatch.setattr(search, "run_shard", _raise_or_sleep)
+        start = time.monotonic()
+        with pytest.raises(CounterexampleError):
+            find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=2))
+        assert time.monotonic() - start < 5
+
+
 def _raise_counterexample():
     raise CounterexampleError(GaleDiagram(2, (3, 3, 3, 3)), 3, 5)
+
+
+def _raise_or_sleep(k, n, first_a, *rest):
+    if first_a == 0:
+        _raise_counterexample()
+    time.sleep(10)
