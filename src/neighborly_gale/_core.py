@@ -93,6 +93,22 @@ count and never falls with b.  A count that the deficit test alone
 dropped may come back at a later b, which lowers dbr, so that cut never
 ends the loop.  A leaf of any count lowers the bound for all of them.
 
+A shard can start below the root and stop early, which splits one tree
+into pieces.  A path of diameters names a node; the running sums that the
+search would pass down to it (cofacets, vertices, masses, triangle counts,
+worst prefix differences and tied rotations) are rebuilt from its labels,
+and the search starts there with the counts the node had open.  The path's
+own nodes are not searched again, so none of them is counted twice, and no
+leaf of a count that ends on the path, which the self-call above evaluates,
+is evaluated twice.  With a node budget, once the shard has counted that
+many nodes, each child it would recurse into is recorded, with its path,
+its counts and the bound it passed its cuts at, instead of searched; the
+leaves of the loops already running are still evaluated.  Under a fixed
+bound the shard and the recorded subtrees hold exactly the tree's nodes and
+leaves.  A recorded subtree keeps its bound, which a leaf found later in
+another piece does not tighten: it may search nodes that the whole tree
+would have cut, and it keeps every leaf within the final bound.
+
 The minimality test of an inner node does not depend on the count.  The
 semicircles holding a positive label at front position i < t start at
 front positions 0..i-1 and back positions i+1..n-1; read with diameters
@@ -270,6 +286,9 @@ def run_shard(
     label_cap: int,
     bound: int | None,
     n_last: int | None = None,
+    path: tuple[int, ...] = (),
+    budget: int | None = None,
+    opened: list | None = None,
 ) -> ShardResult:
     """Search the branch where the first diameter's front label is ``first_a``.
 
@@ -282,6 +301,15 @@ def run_shard(
     whose gap is at most the final bound are never cut.  Leaves are
     evaluated in the loop of the last diameter, which must follow diameter
     0, so ``n`` must be >= 2.
+
+    ``path``, the labels of a prefix of diameters starting with ``first_a``
+    (front labels, then back labels, as in a leaf), searches only the
+    subtree of the node it leads to, with ``n`` and ``n_last`` the counts
+    that node has open; the path's own nodes are not searched again.  With
+    a ``budget`` of nodes, every child that the search would recurse into
+    once it has counted that many nodes is appended to ``opened`` instead,
+    as the ``run_shard`` arguments of its subtree: its path, the counts it
+    has open and the bound it passed its cuts at.  See the module docstring.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -289,6 +317,13 @@ def run_shard(
         n_last = n
     elif n_last < n:
         raise ParameterError(f"n_last must be >= n = {n}, got {n_last}")
+    depth = len(path) // 2
+    if path and (len(path) % 2 or path[0] != first_a or n <= depth):
+        raise ParameterError(f"path {path} must start at a0 = {first_a}, below count n = {n}")
+    if budget is None:
+        budget = 1 << 62  # never spent
+    elif opened is None:
+        raise ParameterError("a node budget needs an opened list")
     p = k + 1
     want_minimal = level in ("minimal", "extremal")
     adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
@@ -547,6 +582,13 @@ def run_shard(
                 if last:
                     leaf(lo, f_child, s_child)
                     continue
+                if nodes >= budget:
+                    # spent: hand the child's subtree back with its counts
+                    opened.append((
+                        k, c_lo, first_a, level, sum_cap, label_cap, best, c_hi,
+                        tuple(av[: t + 1] + bv[: t + 1]),
+                    ))
+                    continue
 
                 saa = sa + a
                 sbb = sb + b
@@ -578,6 +620,34 @@ def run_shard(
         bv[t] = 0
         codes[t] = 0
 
+    if path:
+        # the running sums that dfs passes down the path, from its labels
+        s_run = f_run = sa = sb = xa = xb = mf = mb = 0
+        live0: list[int] = []
+        live1: list[int] = []
+        for t in range(depth):
+            a = path[t]
+            b = path[depth + t]
+            av[t] = a
+            bv[t] = b
+            code = codes[t] = a * K + b
+            fcode = fcodes[t] = b * K + a
+            f_run += a * xa + a * b + b * xb
+            s_run += a + b
+            xa, xb = xa + b * sa, xb + a * sb
+            mf = max(mf, sa + a - sb)
+            mb = max(mb, sb + b - sa)
+            sa += a
+            sb += b
+            live0 = [j for j in live0 if codes[t - j] == code]
+            if t and code == codes[0]:  # rotation 0 is the identity itself
+                live0.append(t)
+            live1 = [j for j in live1 if codes[t - j] == fcode]
+            if fcode == codes[0]:
+                live1.append(t)
+        dfs(depth, n, n_last, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1)
+        return ShardResult(n, first_a, leaves, nodes, len(leaves))
+
     # at t = 0 the pair-flipped view forces a_0 <= b_0; the shard fixes a_0
     a0 = first_a
     for b0 in range(a0 if a0 > 0 else 1, label_cap + 1):
@@ -585,23 +655,14 @@ def run_shard(
         hi = sum_cap - a0 - b0 + 1
         if hi < n:
             break
+        if hi > n_last:
+            hi = n_last
+        if nodes >= budget:
+            opened.append((k, n, a0, level, sum_cap, label_cap, best, hi, (a0, b0)))
+            continue
         av[0] = a0
         bv[0] = b0
         codes[0] = a0 * K + b0
         fcodes[0] = b0 * K + a0
-        dfs(
-            1,
-            n,
-            hi if hi < n_last else n_last,
-            a0 + b0,
-            a0 * b0,
-            a0,
-            b0,
-            0,
-            0,
-            a0,
-            b0,
-            [],
-            [0] if a0 == b0 else [],
-        )
+        dfs(1, n, hi, a0 + b0, a0 * b0, a0, b0, 0, 0, a0, b0, [], [0] if a0 == b0 else [])
     return ShardResult(n, first_a, leaves, nodes, len(leaves))

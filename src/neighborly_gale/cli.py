@@ -166,7 +166,7 @@ def _cmd_delta3(args, out) -> int:
             )
         out.write(
             f"nodes={result.stats.nodes} evaluated={result.stats.evaluated} "
-            f"wall_time={result.stats.wall_time:.3f}s\n"
+            f"pieces={result.stats.pieces} wall_time={result.stats.wall_time:.3f}s\n"
         )
     return 0
 

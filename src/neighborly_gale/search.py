@@ -26,27 +26,55 @@ test ends the front label loop where it provably also holds for every
 later front label.  Subtrees that could still tie the best value are never
 cut, so every witness is found.
 
-``find_delta3`` runs one shard per first front label and run of diameter
-counts with one label cap: every count at ``marcus`` and ``minimal``, a few
-runs at ``extremal``.  A prefix is then searched once for all the counts it
-can still complete, and a leaf of any count tightens the bound for all of
-them.  ``enumerate_diagrams`` keeps one shard per (n, a0), so its stream
-stays grouped by diameter count.
+``find_delta3`` starts from one shard per first front label and run of
+diameter counts with one label cap: every count at ``marcus`` and
+``minimal``, a few runs at ``extremal``.  A prefix is then searched once for
+all the counts it can still complete, and a leaf of any count tightens the
+bound for all of them.  ``enumerate_diagrams`` keeps one shard per (n, a0),
+so its stream stays grouped by diameter count.
+
+The a0 = 0 shard holds almost all of the marcus proof, so ``find_delta3``
+splits the tree into pieces, the idea of cube and conquer (Heule, Kullmann,
+Wieringa, Biere, HVC 2011).  A piece is a ``run_shard`` call with a node
+budget: once it is spent, the piece hands back the subtrees it has not
+entered, each rooted at a path of diameters with the bound it was cut with,
+and each becomes a new piece.  The parent runs pieces in process until
+they have done ``POOL_START_NODES`` nodes, about what starting a pool
+costs, then gives every piece ``PIECE_NODES``.  Only then, at ``jobs > 1``,
+do the pieces go to a pool, which starts on first use (the ski-rental rule
+of Karlin, Manasse, Rudolph, Sleator, Algorithmica 1988: never worse than
+twice the better of the two choices).  The split depends on node counts
+alone, so the pieces, and every count in ``SearchStats``, are the same at
+every ``jobs``.
 """
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby, starmap
 from multiprocessing import Pool
 
-from ._core import run_shard
+from ._core import ShardResult, run_shard
 from .constructions import build_example1
 from .diagram import GaleDiagram, canonical_form, count_cofacets, least_image
 from .errors import ParameterError
 
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
+
+# Nodes that ``find_delta3`` searches in process before any piece may go to a
+# pool: the cost of starting and stopping a two-worker pool, at the speed of
+# the search (BENCH_11.json).
+POOL_START_NODES = 1500
+# Nodes that each later piece searches before it hands back the subtrees it
+# has not entered: no piece of marcus k = 16 then holds more than 1.3% of its
+# nodes, and at jobs=1 the split costs no measurable time (BENCH_11.json).
+PIECE_NODES = 2000
+# Most pieces a pool task carries: enough to amortise a round trip, few
+# enough that a task's leftovers are cheap to send back.
+TASK_PIECES = 64
 
 
 @dataclass(frozen=True)
@@ -84,9 +112,13 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Search effort.  ``pieces`` counts the ``run_shard`` calls; only
+    ``wall_time`` depends on ``jobs``."""
+
     nodes: int
     evaluated: int
     wall_time: float
+    pieces: int
 
 
 @dataclass(frozen=True)
@@ -107,6 +139,7 @@ class SearchResult:
                 "nodes": self.stats.nodes,
                 "evaluated": self.stats.evaluated,
                 "wall_time": self.stats.wall_time,
+                "pieces": self.stats.pieces,
             },
         }
 
@@ -156,14 +189,14 @@ def _run_args(config: SearchConfig, bound: int | None) -> list[tuple]:
     """``run_shard`` arguments of one shard per first label a0 and run of counts.
 
     A run is a maximal range n..n_last of diameter counts with one label cap;
-    its shard searches all of them in one tree.
+    its shard searches all of them in one tree, from the root (empty path).
     """
     sum_cap = _sum_cap(config)
     args = []
     for cap, run in groupby(_n_range(config), lambda n: _label_cap(config, n)):
         counts = list(run)
         args += [
-            (config.k, counts[0], first, config.prune_level, sum_cap, cap, bound, counts[-1])
+            (config.k, counts[0], first, config.prune_level, sum_cap, cap, bound, counts[-1], ())
             for first in range(cap + 1)
         ]
     return args
@@ -193,36 +226,120 @@ def enumerate_diagrams(config: SearchConfig):
             yield GaleDiagram(shard.n, least_image(labels))
 
 
-def _run_shard(args: tuple):
-    """``run_shard`` on one task, for ``Pool.imap_unordered``."""
-    return run_shard(*args)
+class _Workers:
+    """A pool of at most ``jobs`` processes, started on first use.
+
+    It never gets more workers than the pieces pending when it starts, and
+    it is stopped, its workers joined, when the ``with`` block ends.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.pool = None
+
+    def __enter__(self) -> _Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
+    def start(self, pending: int):
+        if self.pool is None:
+            self.pool = Pool(processes=min(self.jobs, pending))
+        return self.pool
+
+
+def _run_pieces(pending: deque, quota: int, budget: int | None = None) -> list[ShardResult]:
+    """Run pieces off the front of ``pending`` until ``quota`` nodes are spent.
+
+    Each piece gets a budget of ``budget`` nodes, by default what is left of
+    the quota, and the pieces it hands back join ``pending``.
+    """
+    shards = []
+    spent = 0
+    while pending and spent < quota:
+        opened: list[tuple] = []
+        piece_budget = quota - spent if budget is None else budget
+        shards.append(run_shard(*pending.popleft(), piece_budget, opened))
+        spent += shards[-1].nodes
+        pending.extend(opened)
+    return shards
+
+
+def _pool_task(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
+    """A worker's share: ``PIECE_NODES`` nodes of pieces; returns the shards and the pieces left."""
+    pending = deque(pieces)
+    return _run_pieces(pending, PIECE_NODES, PIECE_NODES), list(pending)
+
+
+def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
+    """The shard of every piece, pieces handed back included, as each ends.
+
+    Most pieces are tiny, so a pool task carries up to ``TASK_PIECES`` of
+    them and returns after ``PIECE_NODES`` nodes, handing back what it has
+    not started.  Each worker has a second task queued, so it never waits
+    for the parent, and the pending pieces are spread over the free task
+    slots.  How the pieces travel does not change any piece.  A worker's
+    error reaches the caller as soon as the worker raises it, without
+    waiting for other tasks.
+    """
+    pending = deque(pieces)
+    yield from _run_pieces(pending, POOL_START_NODES)
+    if workers.jobs == 1 or not pending:
+        while pending:
+            yield from _run_pieces(pending, PIECE_NODES, PIECE_NODES)
+        return
+
+    # imported here, as the pool imports it: a search in process never needs it
+    from queue import SimpleQueue
+
+    pool = workers.start(len(pending))
+    done: SimpleQueue = SimpleQueue()
+    running = 0
+    while pending or running:
+        while pending and running < 2 * workers.jobs:
+            take = min(TASK_PIECES, -(-len(pending) // (2 * workers.jobs - running)))
+            batch = [pending.popleft() for _ in range(take)]
+            pool.apply_async(_pool_task, (batch,), callback=done.put, error_callback=done.put)
+            running += 1
+        out = done.get()
+        running -= 1
+        if isinstance(out, BaseException):
+            raise out
+        yield from out[0]
+        pending.extend(out[1])
 
 
 def find_delta3(config: SearchConfig) -> SearchResult:
     """Exact minimum of (cofacets - vertices) over the configured space.
 
-    Deterministic for any ``jobs``: shards never exchange bounds, so the
-    explored tree is identical under any work distribution.  Pool workers
-    return shards as they finish, so a worker's ``CounterexampleError``
-    reaches the caller without waiting for the other shards.
+    Deterministic for any ``jobs``: pieces never exchange bounds, and the
+    split into pieces counts nodes only, so the explored tree is identical
+    under any work distribution.  No pool outlives the call.
     """
-    start = time.monotonic()
-    tasks = _run_args(config, _seed_gap(config.k, _sum_cap(config)))
-    if config.jobs > 1:
-        with Pool(processes=config.jobs) as pool:
-            shards = list(pool.imap_unordered(_run_shard, tasks, chunksize=1))
-    else:
-        shards = list(starmap(run_shard, tasks))
+    with _Workers(config.jobs) as workers:
+        return _find_delta3(config, workers)
 
-    gaps = [f - v for shard in shards for _, f, v in shard.leaves]
-    if not gaps:
+
+def _find_delta3(config: SearchConfig, workers: _Workers) -> SearchResult:
+    start = time.monotonic()
+    leaves = []
+    nodes = evaluated = pieces = 0
+    for shard in _search(_run_args(config, _seed_gap(config.k, _sum_cap(config))), workers):
+        leaves += shard.leaves
+        nodes += shard.nodes
+        evaluated += shard.evaluated
+        pieces += 1
+
+    if not leaves:
         raise ParameterError("empty search space; nothing to minimize")
-    best = min(gaps)
+    best = min(f - v for _, f, v in leaves)
     found = sorted(
         (
             canonical_form(GaleDiagram(n=len(labels) // 2, labels=labels))
-            for shard in shards
-            for labels, f, v in shard.leaves
+            for labels, f, v in leaves
             if f - v == best
         ),
         key=lambda d: (d.n, d.labels),
@@ -230,9 +347,10 @@ def find_delta3(config: SearchConfig) -> SearchResult:
     if not config.emit_all:
         found = found[:1]
     stats = SearchStats(
-        nodes=sum(shard.nodes for shard in shards),
-        evaluated=sum(shard.evaluated for shard in shards),
+        nodes=nodes,
+        evaluated=evaluated,
         wall_time=time.monotonic() - start,
+        pieces=pieces,
     )
     return SearchResult(
         k=config.k,
@@ -251,24 +369,27 @@ def verify_theorem1(
     Each row carries the searched minimum, the closed-form value and a match
     flag.  A searched minimum below zero aborts earlier with the offending
     witness, so a completed table doubles as the facets >= vertices check.
+    The whole sweep shares one pool, started when a k first needs it.
     """
     if not 2 <= k_max <= 16:
         raise ParameterError(f"k_max must be between 2 and 16, got {k_max}")
     rows = []
-    for k in range(2, k_max + 1):
-        result = find_delta3(
-            SearchConfig(k=k, prune_level=prune_level, jobs=jobs, emit_all=emit_all)
-        )
-        closed = delta3_closed_form(k)
-        rows.append(
-            {
-                "k": k,
-                "searched": result.delta3,
-                "closed_form": closed,
-                "match": result.delta3 == closed,
-                "witnesses": [w.to_json() for w in result.witnesses],
-            }
-        )
+    with _Workers(jobs) as workers:
+        for k in range(2, k_max + 1):
+            result = _find_delta3(
+                SearchConfig(k=k, prune_level=prune_level, jobs=jobs, emit_all=emit_all),
+                workers,
+            )
+            closed = delta3_closed_form(k)
+            rows.append(
+                {
+                    "k": k,
+                    "searched": result.delta3,
+                    "closed_form": closed,
+                    "match": result.delta3 == closed,
+                    "witnesses": [w.to_json() for w in result.witnesses],
+                }
+            )
     return rows
 
 
@@ -297,6 +418,7 @@ def write_results_jsonl(result: SearchResult, stream) -> None:
                 "nodes": result.stats.nodes,
                 "evaluated": result.stats.evaluated,
                 "wall_time": result.stats.wall_time,
+                "pieces": result.stats.pieces,
             }
         )
         + "\n"

@@ -1,10 +1,11 @@
 """Search space enumeration, symmetry breaking, and the gap minimum."""
+import dataclasses
 import io
 import json
 import pickle
 import time
 from itertools import product
-from multiprocessing import Pool, get_start_method
+from multiprocessing import Pool, active_children, get_start_method
 from unittest.mock import patch
 
 import pytest
@@ -387,15 +388,17 @@ class TestFindDelta3:
             }
             assert len(set(values.values())) == 1, values
 
-    def test_jobs_do_not_change_anything(self):
-        serial = find_delta3(SearchConfig(k=3, prune_level="minimal", emit_all=True))
-        parallel = find_delta3(
-            SearchConfig(k=3, prune_level="minimal", emit_all=True, jobs=2)
-        )
-        assert serial.delta3 == parallel.delta3
-        assert serial.witnesses == parallel.witnesses
-        assert serial.stats.nodes == parallel.stats.nodes
-        assert serial.stats.evaluated == parallel.stats.evaluated
+    def test_jobs_do_not_change_anything(self, monkeypatch):
+        # marcus k = 9 outgrows the in-process allowance, so jobs=2 starts a
+        # real pool; the pieces, and so every count, stay the same
+        config = SearchConfig(k=9, prune_level="marcus", emit_all=True)
+        serial = find_delta3(config)
+        pools = _count_pools(monkeypatch)
+        parallel = find_delta3(dataclasses.replace(config, jobs=2))
+        assert pools == [2]
+        assert active_children() == []
+        assert _counts(parallel) == _counts(serial)
+        assert serial.stats.pieces > len(_run_args(config, None))  # it split
 
     def test_single_witness_mode(self):
         result = find_delta3(SearchConfig(k=2, prune_level="minimal", emit_all=False))
@@ -799,6 +802,144 @@ class TestRunShards:
                 assert len(runs) == k + 2
 
 
+class _InlinePool:
+    """Stands in for ``multiprocessing.Pool``: records its size, runs each task at once."""
+
+    def __init__(self, processes, started):
+        started.append(processes)
+
+    def apply_async(self, func, args, callback, error_callback):
+        try:
+            out = func(*args)
+        except Exception as exc:
+            error_callback(exc)
+        else:
+            callback(out)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def _inline_pools(monkeypatch) -> list[int]:
+    started: list[int] = []
+    monkeypatch.setattr(search, "Pool", lambda processes: _InlinePool(processes, started))
+    return started
+
+
+def _split(config, allowance, budget):
+    """``find_delta3`` with the given in-process allowance and piece budget."""
+    with patch.object(search, "POOL_START_NODES", allowance), patch.object(
+        search, "PIECE_NODES", budget
+    ):
+        return find_delta3(config)
+
+
+def _counts(result):
+    stats = result.stats
+    return result.delta3, result.witnesses, stats.nodes, stats.evaluated, stats.pieces
+
+
+class TestPieces:
+    WHOLE = 1 << 40  # an allowance no search spends: one piece per task
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_budget_of_one_node_is_exact(self, k, level):
+        # a split at every child: the bound is fixed from k = 4 on (the seed
+        # is optimal), so the pieces search exactly the whole tree, every
+        # witness once, and their path nodes are not counted again
+        config = SearchConfig(k=k, prune_level=level, emit_all=True)
+        whole = _split(config, self.WHOLE, self.WHOLE)
+        split = _split(config, 1, 1)
+        assert _counts(split)[:4] == _counts(whole)[:4]
+        assert whole.stats.pieces == len(_run_args(config, None))
+        assert split.stats.pieces > whole.stats.nodes // 2
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    def test_budget_of_one_node_is_exact_without_a_bound(self, level):
+        # a sum cap below 4(k+1) leaves the search without a bound
+        config = SearchConfig(k=4, prune_level=level, sum_cap=12, emit_all=True)
+        split = _split(config, 1, 1)
+        assert split.stats.pieces > 100
+        assert _counts(split)[:4] == _counts(_split(config, self.WHOLE, self.WHOLE))[:4]
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_budget_of_one_node_keeps_the_witnesses(self, k, level):
+        # a piece keeps the bound it was split off with and misses the
+        # leaves its siblings find later, so it may search more; the
+        # minimum and its witnesses, each once, stay the same
+        config = SearchConfig(k=k, prune_level=level, emit_all=True)
+        whole = _split(config, self.WHOLE, self.WHOLE)
+        split = _split(config, 1, 1)
+        assert (split.delta3, split.witnesses) == (whole.delta3, whole.witnesses)
+
+    def test_path_and_budget_are_checked(self):
+        with pytest.raises(ParameterError):
+            run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, (1, 1))  # path leaves a0
+        with pytest.raises(ParameterError):
+            run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, (0, 1, 1))  # half a diameter
+        with pytest.raises(ParameterError):
+            run_shard(4, 2, 0, "marcus", 20, 5, 30, 9, (0, 1, 1, 1))  # count <= depth
+        with pytest.raises(ParameterError):
+            run_shard(4, 2, 0, "marcus", 20, 5, 30, 9, (), 10)  # no opened list
+
+    def test_pieces_count_the_shard_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_shard(*args)
+
+        monkeypatch.setattr(search, "run_shard", counted)
+        for k in (2, 7):
+            calls.clear()
+            result = find_delta3(SearchConfig(k=k, prune_level="marcus"))
+            assert result.stats.pieces == len(calls)
+        assert len(calls) > k + 2  # k = 7 outgrows the allowance and splits
+        assert result.to_json()["stats"]["pieces"] == len(calls)
+        buffer = io.StringIO()
+        write_results_jsonl(result, buffer)
+        assert json.loads(buffer.getvalue().splitlines()[-1])["pieces"] == len(calls)
+
+    def test_no_piece_outgrows_its_budget(self, monkeypatch):
+        # once a piece has spent its budget it only finishes the leaf loop
+        # it is in, so the search splits into even pieces: none of marcus
+        # k = 9 holds more than 2,000 of its 10,144 nodes
+        k = 9
+        runs = []
+
+        def spied(*args):
+            shard = run_shard(*args)
+            runs.append((args[9], shard.nodes))
+            return shard
+
+        monkeypatch.setattr(search, "run_shard", spied)
+        find_delta3(SearchConfig(k=k, prune_level="marcus"))
+        assert all(nodes <= budget + (k + 2) ** 2 for budget, nodes in runs)
+        assert max(nodes for _, nodes in runs) <= max(search.POOL_START_NODES, search.PIECE_NODES)
+
+    def test_small_searches_start_no_pool(self, monkeypatch):
+        # k = 2 has 4 tasks: even --jobs 64 starts no pool, and without the
+        # allowance the pool gets one worker per pending piece, no more
+        pools = _inline_pools(monkeypatch)
+        for k in (2, 3, 4):
+            find_delta3(SearchConfig(k=k, prune_level="marcus", jobs=64))
+        assert pools == []
+        monkeypatch.setattr(search, "POOL_START_NODES", 0)
+        find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=64))
+        assert pools == [4]
+
+    def test_sweep_shares_one_pool(self, monkeypatch):
+        pools = _inline_pools(monkeypatch)
+        rows = verify_theorem1(8, prune_level="marcus", jobs=2)
+        assert all(row["match"] for row in rows)
+        assert pools == [2]
+
+
 class TestVerifyTheorem1:
     def test_through_k3(self):
         rows = verify_theorem1(3)
@@ -890,12 +1031,40 @@ class TestConjectureGuard:
     )
     def test_worker_error_does_not_wait_for_other_shards(self, monkeypatch):
         # one shard raises at once while every other one sleeps: the error
-        # must reach the caller before the sleeping shards end
+        # must reach the caller before the sleeping shards end.  With no
+        # in-process allowance every piece goes to the pool.
         monkeypatch.setattr(search, "run_shard", _raise_or_sleep)
+        monkeypatch.setattr(search, "POOL_START_NODES", 0)
+        pools = _count_pools(monkeypatch)
         start = time.monotonic()
         with pytest.raises(CounterexampleError):
             find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=2))
         assert time.monotonic() - start < 5
+        assert pools == [2]
+        assert active_children() == []
+
+    def test_in_process_error_starts_no_pool(self, monkeypatch):
+        # k=2 ends within the in-process allowance: the first shard raises
+        # before any pool exists, and none is started
+        monkeypatch.setattr(search, "run_shard", _raise_or_sleep)
+        pools = _count_pools(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(CounterexampleError):
+            find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=2))
+        assert time.monotonic() - start < 5
+        assert pools == []
+
+
+def _count_pools(monkeypatch) -> list[int]:
+    """Record the ``processes`` of every pool the search starts; they stay real."""
+    started: list[int] = []
+
+    def counted(processes):
+        started.append(processes)
+        return Pool(processes=processes)
+
+    monkeypatch.setattr(search, "Pool", counted)
+    return started
 
 
 def _raise_counterexample():
