@@ -103,11 +103,14 @@ leaf of a count that ends on the path, which the self-call above evaluates,
 is evaluated twice.  With a node budget, once the shard has counted that
 many nodes, each child it would recurse into is recorded, with its path,
 its counts and the bound it passed its cuts at, instead of searched; the
-leaves of the loops already running are still evaluated.  Under a fixed
-bound the shard and the recorded subtrees hold exactly the tree's nodes and
-leaves.  A recorded subtree keeps its bound, which a leaf found later in
-another piece does not tighten: it may search nodes that the whole tree
-would have cut, and it keeps every leaf within the final bound.
+leaves of the loops already running are still evaluated.  The subtrees are
+recorded in depth-first order, after every leaf the shard has evaluated, so
+without a bound the shard and its subtrees, searched in that order, evaluate
+the tree's leaves in the tree's own order.  Under a fixed bound the shard
+and the recorded subtrees hold exactly the tree's nodes and leaves.  A
+recorded subtree keeps its bound, which a leaf found later in another
+piece does not tighten: it may search nodes that the whole tree would have
+cut, and it keeps every leaf within the final bound.
 
 The minimality test of an inner node does not depend on the count.  The
 semicircles holding a positive label at front position i < t start at
@@ -348,14 +351,13 @@ def run_shard(
         # settled by its floors, and minimality and canonicality need the
         # whole cycle
         if m < n_last:  # a shorter count of the run: its diameters come first
-            front, back, cycle = av[:m], bv[:m], codes[:m] + fcodes[:m]
+            labels, cycle = tuple(av[:m] + bv[:m]), codes[:m] + fcodes[:m]
         else:
-            front, back, cycle = av, bv, codes + fcodes
-        if want_minimal and not is_minimal_cycle(tuple(front + back), k):
+            labels, cycle = tuple(av + bv), codes + fcodes
+        if want_minimal and not is_minimal_cycle(labels, k):
             return
         if not is_pair_canonical(cycle):
             return
-        labels = tuple(front + back)
         gap = f_run - s_run
         if gap < 0:
             raise CounterexampleError(GaleDiagram(n=m, labels=labels), f_run, s_run)

@@ -33,17 +33,17 @@ all the counts it can still complete, and a leaf of any count tightens the
 bound for all of them.  ``enumerate_diagrams`` keeps one shard per (n, a0),
 so its stream stays grouped by diameter count.
 
-The a0 = 0 shard holds almost all of the marcus proof, so ``find_delta3``
-splits the tree into pieces, the idea of cube and conquer (Heule, Kullmann,
-Wieringa, Biere, HVC 2011).  A piece is a ``run_shard`` call with a node
-budget: once it is spent, the piece hands back the subtrees it has not
-entered, each rooted at a path of diameters with the bound it was cut with,
-and each becomes a new piece.  The parent runs pieces in process until
-they have done ``POOL_START_NODES`` nodes, about what starting a pool
-costs, then gives every piece ``PIECE_NODES``.  Only then, at ``jobs > 1``,
-do the pieces go to a pool, which starts on first use (the ski-rental rule
-of Karlin, Manasse, Rudolph, Sleator, Algorithmica 1988: never worse than
-twice the better of the two choices).  The split depends on node counts
+Both searches split their shards into pieces, the idea of cube and conquer
+(Heule, Kullmann, Wieringa, Biere, HVC 2011): the a0 = 0 shard holds almost
+all of the marcus proof, and a whole stream shard would hold all of its
+leaves at once.  A piece is a ``run_shard`` call with a budget of
+``PIECE_NODES`` nodes; once it is spent, the piece hands back the subtrees
+it has not entered, in depth-first order, each with the bound it was cut
+with.  A task runs pieces off the front of a queue until it has spent
+``PIECE_NODES`` nodes, and puts the pieces handed back at the front.  The
+parent runs the first task, and at ``jobs`` = 1 every task, so the stream
+yields each shard's leaves in the shard's order; at ``jobs > 1`` the
+pieces left go to a pool, started on first use.  The split counts nodes
 alone, so the pieces, and every count in ``SearchStats``, are the same at
 every ``jobs``.
 """
@@ -54,7 +54,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import groupby, starmap
+from itertools import groupby
 from multiprocessing import Pool
 
 from ._core import ShardResult, run_shard
@@ -64,13 +64,10 @@ from .errors import ParameterError
 
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 
-# Nodes that ``find_delta3`` searches in process before any piece may go to a
-# pool: the cost of starting and stopping a two-worker pool, at the speed of
-# the search (BENCH_11.json).
-POOL_START_NODES = 1500
-# Nodes that each later piece searches before it hands back the subtrees it
-# has not entered: no piece of marcus k = 16 then holds more than 1.3% of its
-# nodes, and at jobs=1 the split costs no measurable time (BENCH_11.json).
+# Nodes that a piece searches before it hands back the subtrees it has not
+# entered, and that a task spends: no piece of marcus k = 16 then holds more
+# than 1.3% of its nodes, and at jobs=1 the split costs no measurable time
+# (BENCH_11.json).
 PIECE_NODES = 2000
 # Most pieces a pool task carries: enough to amortise a round trip, few
 # enough that a task's leftovers are cheap to send back.
@@ -146,6 +143,8 @@ class SearchResult:
 
 def delta3_closed_form(k: int) -> int:
     """Minimum facet-vertex gap over k-neighborly polytopes with d+3 vertices."""
+    if type(k) is not int:
+        raise ParameterError(f"k must be an integer, got {k!r}")
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if k in (2, 3):
@@ -176,10 +175,10 @@ def _label_cap(config: SearchConfig, n: int) -> int:
 
 
 def _shard_args(config: SearchConfig, bound: int | None) -> list[tuple]:
-    """``run_shard`` arguments of every shard (n, a0) of the space, in stream order."""
+    """``run_shard`` arguments of every one-count shard (n, a0), in stream order."""
     sum_cap = _sum_cap(config)
     return [
-        (config.k, n, first, config.prune_level, sum_cap, _label_cap(config, n), bound)
+        (config.k, n, first, config.prune_level, sum_cap, _label_cap(config, n), bound, n, ())
         for n in _n_range(config)
         for first in range(_label_cap(config, n) + 1)
     ]
@@ -219,9 +218,10 @@ def enumerate_diagrams(config: SearchConfig):
 
     Diagrams are emitted in canonical form, grouped by diameter count.  No
     branch-and-bound cut is applied: this is the full stream, which grows
-    very quickly with k at the marcus level.
+    very quickly with k at the marcus level; its shards run in process, in
+    pieces that yield their leaves in the shard's order.
     """
-    for shard in starmap(run_shard, _shard_args(config, None)):
+    for shard in _search(_shard_args(config, None), _Workers(1)):
         for labels, _, _ in shard.leaves:
             yield GaleDiagram(shard.n, least_image(labels))
 
@@ -251,45 +251,45 @@ class _Workers:
         return self.pool
 
 
-def _run_pieces(pending: deque, quota: int, budget: int | None = None) -> list[ShardResult]:
-    """Run pieces off the front of ``pending`` until ``quota`` nodes are spent.
+def _run_task(pending: deque) -> list[ShardResult]:
+    """One task: pieces off the front of ``pending`` until ``PIECE_NODES`` nodes are spent.
 
-    Each piece gets a budget of ``budget`` nodes, by default what is left of
-    the quota, and the pieces it hands back join ``pending``.
+    Each piece gets a budget of ``PIECE_NODES`` nodes, and the pieces it hands
+    back go to the front of ``pending``, in depth-first order.  One piece always runs.
     """
     shards = []
     spent = 0
-    while pending and spent < quota:
+    while pending:
         opened: list[tuple] = []
-        piece_budget = quota - spent if budget is None else budget
-        shards.append(run_shard(*pending.popleft(), piece_budget, opened))
+        shards.append(run_shard(*pending.popleft(), PIECE_NODES, opened))
+        pending.extendleft(reversed(opened))
         spent += shards[-1].nodes
-        pending.extend(opened)
+        if spent >= PIECE_NODES:
+            break
     return shards
 
 
 def _pool_task(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
-    """A worker's share: ``PIECE_NODES`` nodes of pieces; returns the shards and the pieces left."""
+    """A task on a worker: the shards of its pieces and the pieces it left."""
     pending = deque(pieces)
-    return _run_pieces(pending, PIECE_NODES, PIECE_NODES), list(pending)
+    return _run_task(pending), list(pending)
 
 
 def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     """The shard of every piece, pieces handed back included, as each ends.
 
-    Most pieces are tiny, so a pool task carries up to ``TASK_PIECES`` of
-    them and returns after ``PIECE_NODES`` nodes, handing back what it has
-    not started.  Each worker has a second task queued, so it never waits
-    for the parent, and the pending pieces are spread over the free task
-    slots.  How the pieces travel does not change any piece.  A worker's
-    error reaches the caller as soon as the worker raises it, without
-    waiting for other tasks.
+    The parent runs the first task, and at ``jobs`` = 1 every task.  A pool
+    task carries up to ``TASK_PIECES`` pieces, as most are tiny, and hands
+    back what it has not started.  Each worker has a second task queued, so
+    it never waits for the parent, and the pending pieces are spread over the
+    free task slots.  How the pieces travel does not change any piece.  A
+    worker's error reaches the caller as soon as the worker raises it.
     """
     pending = deque(pieces)
-    yield from _run_pieces(pending, POOL_START_NODES)
-    if workers.jobs == 1 or not pending:
-        while pending:
-            yield from _run_pieces(pending, PIECE_NODES, PIECE_NODES)
+    yield from _run_task(pending)
+    while pending and workers.jobs == 1:
+        yield from _run_task(pending)
+    if not pending:
         return
 
     # imported here, as the pool imports it: a search in process never needs it
@@ -309,7 +309,7 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
         if isinstance(out, BaseException):
             raise out
         yield from out[0]
-        pending.extend(out[1])
+        pending.extendleft(reversed(out[1]))
 
 
 def find_delta3(config: SearchConfig) -> SearchResult:
@@ -361,9 +361,7 @@ def _find_delta3(config: SearchConfig, workers: _Workers) -> SearchResult:
     )
 
 
-def verify_theorem1(
-    k_max: int, prune_level: str = "extremal", jobs: int = 1, emit_all: bool = False
-) -> list[dict]:
+def verify_theorem1(k_max: int, prune_level: str = "extremal", jobs: int = 1) -> list[dict]:
     """Search values against the closed form for k = 2 .. k_max.
 
     Each row carries the searched minimum, the closed-form value and a match
@@ -371,15 +369,12 @@ def verify_theorem1(
     witness, so a completed table doubles as the facets >= vertices check.
     The whole sweep shares one pool, started when a k first needs it.
     """
-    if not 2 <= k_max <= 16:
+    if type(k_max) is not int or not 2 <= k_max <= 16:
         raise ParameterError(f"k_max must be between 2 and 16, got {k_max}")
     rows = []
     with _Workers(jobs) as workers:
         for k in range(2, k_max + 1):
-            result = _find_delta3(
-                SearchConfig(k=k, prune_level=prune_level, jobs=jobs, emit_all=emit_all),
-                workers,
-            )
+            result = _find_delta3(SearchConfig(k=k, prune_level=prune_level, jobs=jobs), workers)
             closed = delta3_closed_form(k)
             rows.append(
                 {

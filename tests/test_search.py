@@ -4,7 +4,7 @@ import io
 import json
 import pickle
 import time
-from itertools import product
+from itertools import islice, product
 from multiprocessing import Pool, active_children, get_start_method
 from unittest.mock import patch
 
@@ -55,6 +55,8 @@ class TestClosedForm:
     def test_domain(self):
         with pytest.raises(ParameterError):
             delta3_closed_form(1)
+        with pytest.raises(ParameterError):
+            delta3_closed_form(4.5)
 
 
 class TestConfig:
@@ -389,7 +391,7 @@ class TestFindDelta3:
             assert len(set(values.values())) == 1, values
 
     def test_jobs_do_not_change_anything(self, monkeypatch):
-        # marcus k = 9 outgrows the in-process allowance, so jobs=2 starts a
+        # marcus k = 9 outgrows the parent's first task, so jobs=2 starts a
         # real pool; the pieces, and so every count, stay the same
         config = SearchConfig(k=9, prune_level="marcus", emit_all=True)
         serial = find_delta3(config)
@@ -669,7 +671,7 @@ class TestBoundCut:
             every = set(full.leaves)
             gaps = [f - v for _, f, v in full.leaves]
             for bound in bounds:
-                cut = run_shard(*args[:-1], bound)
+                cut = run_shard(*args[:6], bound)
                 final = min([bound, *gaps])
                 kept = set(cut.leaves)
                 assert kept <= every
@@ -829,11 +831,9 @@ def _inline_pools(monkeypatch) -> list[int]:
     return started
 
 
-def _split(config, allowance, budget):
-    """``find_delta3`` with the given in-process allowance and piece budget."""
-    with patch.object(search, "POOL_START_NODES", allowance), patch.object(
-        search, "PIECE_NODES", budget
-    ):
+def _split(config, budget):
+    """``find_delta3`` with the given piece budget."""
+    with patch.object(search, "PIECE_NODES", budget):
         return find_delta3(config)
 
 
@@ -843,7 +843,7 @@ def _counts(result):
 
 
 class TestPieces:
-    WHOLE = 1 << 40  # an allowance no search spends: one piece per task
+    WHOLE = 1 << 40  # a budget no search spends: one piece per shard
 
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     @pytest.mark.parametrize("k", [4, 5, 6])
@@ -852,8 +852,8 @@ class TestPieces:
         # is optimal), so the pieces search exactly the whole tree, every
         # witness once, and their path nodes are not counted again
         config = SearchConfig(k=k, prune_level=level, emit_all=True)
-        whole = _split(config, self.WHOLE, self.WHOLE)
-        split = _split(config, 1, 1)
+        whole = _split(config, self.WHOLE)
+        split = _split(config, 1)
         assert _counts(split)[:4] == _counts(whole)[:4]
         assert whole.stats.pieces == len(_run_args(config, None))
         assert split.stats.pieces > whole.stats.nodes // 2
@@ -862,9 +862,9 @@ class TestPieces:
     def test_budget_of_one_node_is_exact_without_a_bound(self, level):
         # a sum cap below 4(k+1) leaves the search without a bound
         config = SearchConfig(k=4, prune_level=level, sum_cap=12, emit_all=True)
-        split = _split(config, 1, 1)
+        split = _split(config, 1)
         assert split.stats.pieces > 100
-        assert _counts(split)[:4] == _counts(_split(config, self.WHOLE, self.WHOLE))[:4]
+        assert _counts(split)[:4] == _counts(_split(config, self.WHOLE))[:4]
 
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     @pytest.mark.parametrize("k", [2, 3])
@@ -873,8 +873,8 @@ class TestPieces:
         # leaves its siblings find later, so it may search more; the
         # minimum and its witnesses, each once, stay the same
         config = SearchConfig(k=k, prune_level=level, emit_all=True)
-        whole = _split(config, self.WHOLE, self.WHOLE)
-        split = _split(config, 1, 1)
+        whole = _split(config, self.WHOLE)
+        split = _split(config, 1)
         assert (split.delta3, split.witnesses) == (whole.delta3, whole.witnesses)
 
     def test_path_and_budget_are_checked(self):
@@ -899,7 +899,7 @@ class TestPieces:
             calls.clear()
             result = find_delta3(SearchConfig(k=k, prune_level="marcus"))
             assert result.stats.pieces == len(calls)
-        assert len(calls) > k + 2  # k = 7 outgrows the allowance and splits
+        assert len(calls) > k + 2  # k = 7 outgrows one piece and splits
         assert result.to_json()["stats"]["pieces"] == len(calls)
         buffer = io.StringIO()
         write_results_jsonl(result, buffer)
@@ -920,18 +920,65 @@ class TestPieces:
         monkeypatch.setattr(search, "run_shard", spied)
         find_delta3(SearchConfig(k=k, prune_level="marcus"))
         assert all(nodes <= budget + (k + 2) ** 2 for budget, nodes in runs)
-        assert max(nodes for _, nodes in runs) <= max(search.POOL_START_NODES, search.PIECE_NODES)
+        assert max(nodes for _, nodes in runs) <= search.PIECE_NODES
 
     def test_small_searches_start_no_pool(self, monkeypatch):
-        # k = 2 has 4 tasks: even --jobs 64 starts no pool, and without the
-        # allowance the pool gets one worker per pending piece, no more
+        # the parent runs the first task, which ends k <= 4: even --jobs 64
+        # starts no pool.  With a budget of one node the first task runs
+        # one piece, and the pool gets one worker per pending piece, no more
         pools = _inline_pools(monkeypatch)
         for k in (2, 3, 4):
             find_delta3(SearchConfig(k=k, prune_level="marcus", jobs=64))
         assert pools == []
-        monkeypatch.setattr(search, "POOL_START_NODES", 0)
-        find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=64))
-        assert pools == [4]
+        config = SearchConfig(k=2, prune_level="marcus", jobs=64)
+        first, *rest = _run_args(config, _seed_gap(2, _sum_cap(config)))
+        opened = []
+        run_shard(*first, 1, opened)
+        assert 1 < len(opened) + len(rest) < 64
+        monkeypatch.setattr(search, "PIECE_NODES", 1)
+        find_delta3(config)
+        assert pools == [len(opened) + len(rest)]
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    def test_stream_in_pieces_of_one_node(self, level, monkeypatch):
+        # a piece finishes the leaf loop it is in and hands back the rest of
+        # its shard in depth-first order: pieces of one node yield the
+        # default stream and search the nodes of the whole shards
+        config = SearchConfig(k=2, prune_level=level)
+        whole = [run_shard(*args) for args in _shard_args(config, None)]
+        pieces = []
+
+        def spied(*args):
+            pieces.append(run_shard(*args))
+            return pieces[-1]
+
+        default = list(enumerate_diagrams(config))
+        monkeypatch.setattr(search, "run_shard", spied)
+        monkeypatch.setattr(search, "PIECE_NODES", 1)
+        assert list(enumerate_diagrams(config)) == default
+        assert len(pieces) > len(whole)
+        assert sum(piece.nodes for piece in pieces) == sum(shard.nodes for shard in whole)
+
+    def test_stream_pieces_hold_few_leaves(self, monkeypatch, marcus_k3_shards):
+        # the k=3 marcus shard (n, a0) = (8, 0) has 85,104 leaves; its
+        # pieces return them in the shard's order, at most 2,000 at a time
+        expected = (leaf for _, shard in marcus_k3_shards for leaf in shard.leaves)
+        most = nodes = 0
+
+        def spied(*args):
+            nonlocal most, nodes
+            piece = run_shard(*args)
+            assert piece.leaves == list(islice(expected, len(piece.leaves))), args
+            most = max(most, len(piece.leaves))
+            nodes += piece.nodes
+            return piece
+
+        monkeypatch.setattr(search, "run_shard", spied)
+        emitted = sum(1 for _ in enumerate_diagrams(SearchConfig(k=3, prune_level="marcus")))
+        assert next(expected, None) is None
+        assert emitted == sum(shard.evaluated for _, shard in marcus_k3_shards)
+        assert nodes == sum(shard.nodes for _, shard in marcus_k3_shards)
+        assert most <= 2000
 
     def test_sweep_shares_one_pool(self, monkeypatch):
         pools = _inline_pools(monkeypatch)
@@ -953,6 +1000,8 @@ class TestVerifyTheorem1:
             verify_theorem1(1)
         with pytest.raises(ParameterError):
             verify_theorem1(17)
+        with pytest.raises(ParameterError):
+            verify_theorem1(3.0)
         assert verify_theorem1(8)[-1]["k"] == 8
 
     def test_through_k12(self):
@@ -1031,10 +1080,10 @@ class TestConjectureGuard:
     )
     def test_worker_error_does_not_wait_for_other_shards(self, monkeypatch):
         # one shard raises at once while every other one sleeps: the error
-        # must reach the caller before the sleeping shards end.  With no
-        # in-process allowance every piece goes to the pool.
-        monkeypatch.setattr(search, "run_shard", _raise_or_sleep)
-        monkeypatch.setattr(search, "POOL_START_NODES", 0)
+        # must reach the caller before the sleeping shards end.  The parent's
+        # first task, a0 = 0, spends its budget at once, so every other
+        # shard goes to the pool.
+        monkeypatch.setattr(search, "run_shard", _spend_then_raise_or_sleep)
         pools = _count_pools(monkeypatch)
         start = time.monotonic()
         with pytest.raises(CounterexampleError):
@@ -1044,7 +1093,7 @@ class TestConjectureGuard:
         assert active_children() == []
 
     def test_in_process_error_starts_no_pool(self, monkeypatch):
-        # k=2 ends within the in-process allowance: the first shard raises
+        # the parent runs the first task itself: its first shard raises
         # before any pool exists, and none is started
         monkeypatch.setattr(search, "run_shard", _raise_or_sleep)
         pools = _count_pools(monkeypatch)
@@ -1075,3 +1124,10 @@ def _raise_or_sleep(k, n, first_a, *rest):
     if first_a == 0:
         _raise_counterexample()
     time.sleep(10)
+
+
+def _spend_then_raise_or_sleep(k, n, first_a, *rest):
+    # a0 = 0 spends a whole task's budget, a0 = 1 raises, the rest sleep
+    if first_a == 0:
+        return _core.ShardResult(n, first_a, [], search.PIECE_NODES, 0)
+    _raise_or_sleep(k, n, first_a - 1, *rest)
