@@ -47,13 +47,33 @@ and the search tests each child of that a on its own.  Before its floor,
 a child whose deficits force more mass than its open diameters may hold
 is cut: its own deficit test would return at once.
 
-At the ``minimal`` and ``extremal`` levels every node, the leaf included,
-runs ``diagram.is_minimal_cycle`` on the labels assigned so far, with the
-unassigned diameters read as 0.  Later diameters only add semicircle mass,
-so a label that can already be decremented stays decrementable in every
-completion, and the whole subtree is cut.  An inner node whose assigned
-front and back masses are both at most k+1 skips the test, which cannot
-fail there.
+At the ``minimal`` and ``extremal`` levels a node is cut when one of its
+labels can already be decremented: every semicircle holding it sums to
+more than p = k+1 with the unassigned diameters read as 0.  Later
+diameters only add semicircle mass, so the label stays decrementable in
+every completion, and the whole subtree is cut.  The test reads the
+DFS's own sums.  With A_i and B_i the front and back masses of diameters
+0..i, let D_j = A_j - B_{j-1}, which mf maximises, and E_u = B_u - A_{u-1},
+which mb maximises.  The semicircle clockwise of front position j < t
+sums sa - D_j, and the one clockwise of back position u < t sums sb - E_u;
+past the prefix, the one of back position u >= t sums sa and the one of
+front position j >= t sums sb.  A front label a_i lies in the semicircles
+of front positions j < i and back positions u > i.  So with fa = sa - p
+and fb = sb - p, it can be decremented iff a_i > 0, fa > 0, D_j < fa for
+every j < i and E_u < fb for every i < u < t.  A back label b_i can iff
+b_i > 0, fb > 0, E_u < fb for every u < i and D_j < fa for every
+i < j < t.  The maxima over j < i are the mf and mb of depth i, which the
+search keeps per depth, and one backward loop over i < t carries the
+maxima over (i, t) and decides the node.  A node with fa <= 0 and
+fb <= 0 has no such label and skips the loop.  In the loop the terms
+fa > 0 and fb > 0 go without saying.  Say fa <= 0 < fb and a front label
+a_i passes the other terms.  Then i = t - 1, since E_{t-1} = sb - A_{t-2}
+>= sb - sa >= fb fails the test for every i < t - 1, and t = 1, since
+D_0 = a_0 >= 0 >= fa fails it for every i >= 1.  So b_0 = sb exceeds p,
+lies only in the semicircles past the prefix, and passes the back test:
+the node is cut either way.  A back label with fb <= 0 < fa is the
+mirror case.  The leaf runs ``diagram.is_minimal_cycle``, the definition,
+on its whole cycle.
 
 Symmetry breaking and emission keep one rule, the least of a cycle's
 rotations and of its reverse's, on two encodings.  ``diagram.least_image``
@@ -114,11 +134,13 @@ cut, and it keeps every leaf within the final bound.
 
 The minimality test of an inner node does not depend on the count.  The
 semicircles holding a positive label at front position i < t start at
-front positions 0..i-1 and back positions i+1..n-1; read with diameters
-t.. as 0, the sum at a back position u >= t is sa, whatever n, and the
-others involve only assigned labels.  Padding the prefix to any n > t
-only repeats sa (sb for a back label) among those sums, so the least of
-them, and whether the label can be decremented, stays the same.
+front positions 0..i-1 and back positions i+1..n-1.  Those that start
+inside the prefix sum sa - D_j and sb - E_u, which involve only assigned
+labels.  Those that start at back positions u >= t, at least one for
+every count n > t, all sum sa.  Padding the prefix to any n > t only
+repeats sa (sb for a back label) among those sums, so the test's terms
+fa > 0 and fb > 0, and whether the label can be decremented, stay the
+same.
 """
 from __future__ import annotations
 
@@ -338,6 +360,9 @@ def run_shard(
     fcodes = [0] * n_last  # the flipped pair (b, a) encoded as b * K + a
     K = label_cap + 1
     two_cap = 2 * label_cap  # the most mass one open diameter holds
+    empty = -1 << 62  # the maximum of no values
+    mfs = [empty] * n_last  # the mf and mb of each depth, for the minimality test
+    mbs = [empty] * n_last
 
     best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
@@ -389,17 +414,38 @@ def run_shard(
             lo += 1
         else:
             nodes += 1
-        # diameters t.. are still 0 here (each loop below resets its own
-        # entry on exit, and every early return precedes its assignment), and
         # later diameters only add semicircle mass: a positive label whose
-        # every containing semicircle already sums to at least k+2 can be
-        # decremented in every completion, so none of them is minimal.
-        # The semicircles of positions 2n-1 and n-1 hold every assigned front
-        # and back label with masses sa and sb; if neither exceeds p, no
-        # label can be decremented yet.  The test reads the same at every
-        # open count (see the module docstring).
-        if want_minimal and (sa > p or sb > p) and not is_minimal_cycle(tuple(av + bv), k):
-            return
+        # every containing semicircle already sums to more than p can be
+        # decremented in every completion, so none of them is minimal.  A
+        # front label a_i > 0 can iff fa > 0, D_j < fa for j < i and
+        # E_u < fb for i < u < t; a back label b_i > 0 iff fb > 0, E_u < fb
+        # for u < i and D_j < fa for i < j < t.  Once fa > 0 or fb > 0 the
+        # other terms imply those two.  See the module docstring, also for
+        # why the test reads the same at every open count.
+        if want_minimal:
+            mfs[t] = mf
+            mbs[t] = mb
+            if sa > p or sb > p:
+                fa = sa - p  # the semicircles past the prefix sum sa and sb
+                fb = sb - p
+                md = me = empty  # the maxima of D_j and E_j over i < j < t
+                x = sa - sb  # A_i - B_i
+                for i in range(t - 1, -1, -1):
+                    a = av[i]
+                    b = bv[i]
+                    if a and me < fb and mfs[i] < fa:
+                        return
+                    if b and md < fa and mbs[i] < fb:
+                        return
+                    d = x + b  # D_i = A_i - B_{i-1}
+                    if d > md:
+                        md = d
+                    d = a - x  # E_i = B_i - A_{i-1}
+                    if d > me:
+                        me = d
+                    if md >= fa and me >= fb:
+                        break  # no label before i passes either test
+                    x -= a - b
 
         # worst semicircle deficits; front deficits can only be paid with
         # future front labels and back deficits with future back labels, at
@@ -637,8 +683,8 @@ def run_shard(
             f_run += a * xa + a * b + b * xb
             s_run += a + b
             xa, xb = xa + b * sa, xb + a * sb
-            mf = max(mf, sa + a - sb)
-            mb = max(mb, sb + b - sa)
+            mf = mfs[t + 1] = max(mf, sa + a - sb)
+            mb = mbs[t + 1] = max(mb, sb + b - sa)
             sa += a
             sb += b
             live0 = [j for j in live0 if codes[t - j] == code]

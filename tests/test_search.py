@@ -213,6 +213,28 @@ class TestPairSymmetry:
         assert len(set(dihedral_orbit(labels))) == 4 * n
 
 
+def _padded(labels, n):
+    """The prefix ``labels`` (front labels, then back labels) padded to n diameters with zeros."""
+    t = len(labels) // 2
+    return tuple(labels[:t]) + (0,) * (n - t) + tuple(labels[t:]) + (0,) * (n - t)
+
+
+def _minimality_cuts(labels, k):
+    """Does the ``minimal`` search cut the node at the prefix ``labels``?
+
+    The node is searched as the start of a piece at count t + 2, so its state
+    comes from the path rebuild.  With no bound, a sum cap that binds nothing
+    and labels up to ``cap`` > every prefix label, a node the minimality test
+    keeps has the child (cap, cap), which a budget of 0 hands back.
+    """
+    t = len(labels) // 2
+    cap = max(k + 1, *labels) + 1
+    opened = []
+    shard = run_shard(k, t + 2, labels[0], "minimal", 1000, cap, None, t + 2, tuple(labels), 0, opened)
+    assert shard.nodes == 1 and not shard.leaves
+    return not opened
+
+
 class TestMinimalCut:
     @given(
         st.integers(2, 7).flatmap(
@@ -272,6 +294,27 @@ class TestMinimalCut:
         expected = is_minimal_cycle(padded(t + 1), k)
         for n in range(t + 2, t + 6):
             assert is_minimal_cycle(padded(n), k) == expected, n
+
+    def test_node_test_is_the_definition_on_small_prefixes(self):
+        # every prefix of t < n <= 4 diameters with labels 0..3: the DFS
+        # cuts the node iff the zero-padded prefix is not minimal
+        for k in (1, 2, 3):
+            for t in (1, 2, 3):
+                for labels in product(range(4), repeat=2 * t):
+                    cut = _minimality_cuts(labels, k)
+                    for n in range(t + 1, 5):
+                        assert cut == (not is_minimal_cycle(_padded(labels, n), k)), (labels, k, n)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda t: st.lists(st.integers(0, 4), min_size=2 * t, max_size=2 * t)
+        ),
+        st.integers(1, 6),
+    )
+    @example([3, 0, 0, 3], 2)  # a label held only by semicircles of the padding
+    def test_node_test_is_the_definition(self, labels, k):
+        t = len(labels) // 2
+        assert _minimality_cuts(labels, k) == (not is_minimal_cycle(_padded(labels, t + 1), k))
 
     @pytest.mark.parametrize("k,n_max", [(2, None), (3, 5)])
     def test_minimal_stream_is_filtered_marcus_stream(self, k, n_max):
@@ -876,6 +919,37 @@ class TestPieces:
         whole = _split(config, self.WHOLE)
         split = _split(config, 1)
         assert (split.delta3, split.witnesses) == (whole.delta3, whole.witnesses)
+
+    def test_budget_of_one_node_is_exact_at_minimality_cuts(self, monkeypatch):
+        # with a budget of one node every child starts a piece of its own,
+        # and the minimality test of its first node reads the worst prefix
+        # differences that the path rebuilt.  The bound is fixed (k >= 4),
+        # so a piece is the same piece at marcus, with the leaves that are
+        # not minimal dropped, unless its prefix is not minimal: then it is
+        # cut at its first node.  The pieces search the whole tree
+        k = 7
+        config = SearchConfig(k=k, prune_level="minimal", emit_all=True)
+        whole = _split(config, self.WHOLE)
+        cut = 0
+
+        def spied(*args):
+            nonlocal cut
+            shard = run_shard(*args)
+            path, opened = args[8], args[10]
+            if is_minimal_cycle(_padded(path, len(path) // 2 + 1), k):
+                at_marcus = []
+                marcus = run_shard(*args[:3], "marcus", *args[4:10], at_marcus)
+                assert opened == [(*piece[:3], "minimal", *piece[4:]) for piece in at_marcus]
+                assert shard.leaves == [leaf for leaf in marcus.leaves if is_minimal_cycle(leaf[0], k)]
+            else:
+                assert not opened and not shard.leaves, path
+                cut += 1
+            return shard
+
+        monkeypatch.setattr(search, "run_shard", spied)
+        split = _split(config, 1)
+        assert _counts(split)[:4] == _counts(whole)[:4]
+        assert cut > 100
 
     def test_path_and_budget_are_checked(self):
         with pytest.raises(ParameterError):
