@@ -368,21 +368,23 @@ def run_shard(
     leaves: list[tuple[tuple[int, ...], int, int]] = []
     nodes = 0
 
+    def labels_of(m: int) -> tuple[int, ...]:
+        # a shorter count of the run: its diameters come first
+        return tuple(av + bv) if m == n_last else tuple(av[:m] + bv[:m])
+
     def leaf(m: int, f_run: int, s_run: int) -> None:
         nonlocal nodes, best
         nodes += 1
         # the b loop of diameter m-1 calls this with every label of an
         # m-diameter cycle set; adjacency and semicircle mass are already
         # settled by its floors, and minimality and canonicality need the
-        # whole cycle
-        if m < n_last:  # a shorter count of the run: its diameters come first
-            labels, cycle = tuple(av[:m] + bv[:m]), codes[:m] + fcodes[:m]
-        else:
-            labels, cycle = tuple(av + bv), codes + fcodes
-        if want_minimal and not is_minimal_cycle(labels, k):
+        # whole cycle.  Most leaves fail a test, so each test builds only
+        # what it reads
+        if want_minimal and not is_minimal_cycle(labels_of(m), k):
             return
-        if not is_pair_canonical(cycle):
+        if not is_pair_canonical(codes + fcodes if m == n_last else codes[:m] + fcodes[:m]):
             return
+        labels = labels_of(m)
         gap = f_run - s_run
         if gap < 0:
             raise CounterexampleError(GaleDiagram(n=m, labels=labels), f_run, s_run)

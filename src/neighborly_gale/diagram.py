@@ -380,13 +380,18 @@ def least_image(labels: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least image of a label cycle under ``dihedral_orbit``.
 
     The least image starts at a least label, so only the rotations of the
-    cycle and of its reverse that start there compete.
+    cycle and of its reverse that start there compete; ``tuple.index``
+    finds those starts.
     """
     two_n = len(labels)
     low = min(labels)
     images = []
-    for doubled in (labels + labels, labels[::-1] * 2):
-        images += [doubled[i : i + two_n] for i in range(two_n) if doubled[i] == low]
+    for cycle in (labels, labels[::-1]):
+        doubled = cycle + cycle
+        i = -1
+        for _ in range(cycle.count(low)):
+            i = cycle.index(low, i + 1)
+            images.append(doubled[i : i + two_n])
     return min(images)
 
 

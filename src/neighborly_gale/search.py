@@ -39,17 +39,24 @@ all of the marcus proof, and a whole stream shard would hold all of its
 leaves at once.  A piece is a ``run_shard`` call with a budget of
 ``PIECE_NODES`` nodes; once it is spent, the piece hands back the subtrees
 it has not entered, in depth-first order, each with the bound it was cut
-with.  A task runs pieces off the front of a queue until it has spent
-``PIECE_NODES`` nodes, and puts the pieces handed back at the front.  The
-parent runs the first task, and at ``jobs`` = 1 every task, so the stream
-yields each shard's leaves in the shard's order; at ``jobs > 1`` the
-pieces left go to a pool, started on first use.  The split counts nodes
+with.  A task runs pieces off the front of a queue until it has spent its
+budget, and puts the pieces handed back at the front.
+
+Where a piece runs is a rent-or-buy choice.  While no pool runs, the
+parent runs the pieces itself, all of them at ``jobs`` = 1, so the stream
+yields each shard's leaves in the shard's order.  At ``jobs > 1`` it stops
+once it has spent ``POOL_NODES`` nodes, the break-even point of the pool's
+fixed cost, and starts a pool for the pieces left; a search that finds a
+pool running, as in a ``verify_theorem1`` sweep, sends it every piece.  A
+pool task has a budget of ``PIECE_NODES`` nodes.  The split counts nodes
 alone, so the pieces, and every count in ``SearchStats``, are the same at
 every ``jobs``.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -69,6 +76,16 @@ PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 # than 1.3% of its nodes, and at jobs=1 the split costs no measurable time
 # (BENCH_11.json).
 PIECE_NODES = 2000
+# Nodes the parent searches in process before it starts a pool: the
+# break-even point C s / (s - 1) of rent or buy (Karlin, Manasse, Rudolph,
+# Sleator, "Competitive snoopy caching", Algorithmica 3, 1988), which never
+# costs more than 2 - 1/s times the better choice made in hindsight.  C is
+# the pool's fixed cost (start, warm-up, a round trip, teardown) and s the
+# speed-up of two processes on a 2-CPU host: fresh-interpreter runs of
+# marcus k = 6..14 at jobs 2 against jobs 1 fit C = 27 ms and s = 1.82 at
+# 10.3 us a node in process, so C s / (s - 1) = 60 ms, 5,800 nodes
+# (BENCH_14.json).
+POOL_NODES = 5800
 # Most pieces a pool task carries: enough to amortise a round trip, few
 # enough that a task's leftovers are cheap to send back.
 TASK_PIECES = 64
@@ -229,13 +246,15 @@ def enumerate_diagrams(config: SearchConfig):
 class _Workers:
     """A pool of at most ``jobs`` processes, started on first use.
 
-    It never gets more workers than the pieces pending when it starts, and
-    it is stopped, its workers joined, when the ``with`` block ends.
+    It never gets more workers than the pieces pending when it starts or
+    the CPUs this process may run on, and it is stopped, its workers
+    joined, when the ``with`` block ends.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         self.pool = None
+        self.size = 0
 
     def __enter__(self) -> _Workers:
         return self
@@ -247,48 +266,55 @@ class _Workers:
 
     def start(self, pending: int):
         if self.pool is None:
-            self.pool = Pool(processes=min(self.jobs, pending))
+            self.size = min(self.jobs, pending, _usable_cpus())
+            self.pool = Pool(processes=self.size)
         return self.pool
 
 
-def _run_task(pending: deque) -> list[ShardResult]:
-    """One task: pieces off the front of ``pending`` until ``PIECE_NODES`` nodes are spent.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_task(pending: deque, budget: float) -> Iterator[ShardResult]:
+    """One task: pieces off the front of ``pending`` until ``budget`` nodes are spent.
 
     Each piece gets a budget of ``PIECE_NODES`` nodes, and the pieces it hands
     back go to the front of ``pending``, in depth-first order.  One piece always runs.
     """
-    shards = []
     spent = 0
-    while pending:
+    while pending and spent < budget:
         opened: list[tuple] = []
-        shards.append(run_shard(*pending.popleft(), PIECE_NODES, opened))
+        shard = run_shard(*pending.popleft(), PIECE_NODES, opened)
         pending.extendleft(reversed(opened))
-        spent += shards[-1].nodes
-        if spent >= PIECE_NODES:
-            break
-    return shards
+        spent += shard.nodes
+        yield shard
 
 
 def _pool_task(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
     """A task on a worker: the shards of its pieces and the pieces it left."""
     pending = deque(pieces)
-    return _run_task(pending), list(pending)
+    return list(_run_task(pending, PIECE_NODES)), list(pending)
 
 
 def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     """The shard of every piece, pieces handed back included, as each ends.
 
-    The parent runs the first task, and at ``jobs`` = 1 every task.  A pool
-    task carries up to ``TASK_PIECES`` pieces, as most are tiny, and hands
-    back what it has not started.  Each worker has a second task queued, so
-    it never waits for the parent, and the pending pieces are spread over the
-    free task slots.  How the pieces travel does not change any piece.  A
-    worker's error reaches the caller as soon as the worker raises it.
+    Rent or buy: while no pool runs, the parent runs the pieces itself until
+    the search ends or it has spent ``POOL_NODES`` nodes, and at ``jobs`` = 1
+    it runs them all.  Only then does it start the pool, and a pool already
+    running gets every piece at once.  A pool task carries up to
+    ``TASK_PIECES`` pieces, as most are tiny, and hands back what it has not
+    started.  Each worker has a second task queued, so it never waits for the
+    parent, and the pending pieces are spread over the free task slots.  How
+    the pieces travel does not change any piece.  A worker's error reaches
+    the caller as soon as the worker raises it.
     """
     pending = deque(pieces)
-    yield from _run_task(pending)
-    while pending and workers.jobs == 1:
-        yield from _run_task(pending)
+    if workers.pool is None:
+        yield from _run_task(pending, POOL_NODES if workers.jobs > 1 else math.inf)
     if not pending:
         return
 
@@ -296,11 +322,12 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     from queue import SimpleQueue
 
     pool = workers.start(len(pending))
+    slots = 2 * workers.size
     done: SimpleQueue = SimpleQueue()
     running = 0
     while pending or running:
-        while pending and running < 2 * workers.jobs:
-            take = min(TASK_PIECES, -(-len(pending) // (2 * workers.jobs - running)))
+        while pending and running < slots:
+            take = min(TASK_PIECES, -(-len(pending) // (slots - running)))
             batch = [pending.popleft() for _ in range(take)]
             pool.apply_async(_pool_task, (batch,), callback=done.put, error_callback=done.put)
             running += 1

@@ -428,6 +428,17 @@ def _palindromic_cycles():
     )
 
 
+def _tied_minima_cycles():
+    # most labels at the least value, and some cycles all at it, so that
+    # many rotations start at a least label
+    return st.one_of(
+        st.tuples(st.integers(2, 12), st.integers(0, 4)).flatmap(
+            lambda nv: st.tuples(*[st.sampled_from((nv[1],) * 4 + (nv[1] + 1, nv[1] + 3))] * (2 * nv[0]))
+        ),
+        st.builds(lambda n, v: (v,) * (2 * n), st.integers(2, 12), st.integers(0, 4)),
+    )
+
+
 class TestLeastImage:
     @given(
         st.one_of(
@@ -436,9 +447,11 @@ class TestLeastImage:
             ),
             _periodic_cycles(),
             _palindromic_cycles(),
+            _tied_minima_cycles(),
         )
     )
     @example((0, 0, 0, 0))
+    @example((3,) * 24)
     @example((1, 0, 1, 0, 1, 0))
     @example((0, 1, 2, 1, 2, 1))
     @example((2, 1, 0, 0, 1, 2))

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import json
+import os
 import pickle
 import time
 from itertools import islice, product
@@ -434,13 +435,14 @@ class TestFindDelta3:
             assert len(set(values.values())) == 1, values
 
     def test_jobs_do_not_change_anything(self, monkeypatch):
-        # marcus k = 9 outgrows the parent's first task, so jobs=2 starts a
-        # real pool; the pieces, and so every count, stay the same
+        # marcus k = 9 (10,144 nodes) outgrows POOL_NODES, so jobs=2 starts
+        # a real pool; the pieces, and so every count, stay the same
         config = SearchConfig(k=9, prune_level="marcus", emit_all=True)
         serial = find_delta3(config)
+        assert serial.stats.nodes > search.POOL_NODES
         pools = _count_pools(monkeypatch)
         parallel = find_delta3(dataclasses.replace(config, jobs=2))
-        assert pools == [2]
+        assert pools == [min(2, search._usable_cpus())]
         assert active_children() == []
         assert _counts(parallel) == _counts(serial)
         assert serial.stats.pieces > len(_run_args(config, None))  # it split
@@ -997,21 +999,37 @@ class TestPieces:
         assert max(nodes for _, nodes in runs) <= search.PIECE_NODES
 
     def test_small_searches_start_no_pool(self, monkeypatch):
-        # the parent runs the first task, which ends k <= 4: even --jobs 64
-        # starts no pool.  With a budget of one node the first task runs
-        # one piece, and the pool gets one worker per pending piece, no more
+        # the parent runs every piece of a search that ends within
+        # POOL_NODES nodes: marcus k <= 7 starts no pool, even at --jobs 64
         pools = _inline_pools(monkeypatch)
-        for k in (2, 3, 4):
-            find_delta3(SearchConfig(k=k, prune_level="marcus", jobs=64))
+        for k in range(2, 8):
+            result = find_delta3(SearchConfig(k=k, prune_level="marcus", jobs=64))
+            assert result.stats.nodes <= search.POOL_NODES
         assert pools == []
-        config = SearchConfig(k=2, prune_level="marcus", jobs=64)
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        # with budgets of one node the parent runs one piece, and the pool
+        # gets one worker per pending piece, at most jobs and at most one
+        # per CPU this process may use
+        config = SearchConfig(k=2, prune_level="marcus")
         first, *rest = _run_args(config, _seed_gap(2, _sum_cap(config)))
         opened = []
         run_shard(*first, 1, opened)
-        assert 1 < len(opened) + len(rest) < 64
+        pending = len(opened) + len(rest)
+        assert 3 < pending < 64
         monkeypatch.setattr(search, "PIECE_NODES", 1)
-        find_delta3(config)
-        assert pools == [len(opened) + len(rest)]
+        monkeypatch.setattr(search, "POOL_NODES", 1)
+        for cpus, jobs, size in ((64, 64, pending), (3, 64, 3), (64, 2, 2)):
+            pools = _inline_pools(monkeypatch)
+            monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+            find_delta3(dataclasses.replace(config, jobs=jobs))
+            assert pools == [size]
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert search._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert search._usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     def test_stream_in_pieces_of_one_node(self, level, monkeypatch):
@@ -1055,10 +1073,37 @@ class TestPieces:
         assert most <= 2000
 
     def test_sweep_shares_one_pool(self, monkeypatch):
+        # the first marcus k past POOL_NODES spends that many nodes in the
+        # parent and buys the pool; every later k sends it every piece
         pools = _inline_pools(monkeypatch)
-        rows = verify_theorem1(8, prune_level="marcus", jobs=2)
+        real_pool_task = search._pool_task
+        in_pool = False
+        runs = []  # (k, ran in a pool task, nodes)
+
+        def pool_task(pieces):
+            nonlocal in_pool
+            in_pool = True
+            try:
+                return real_pool_task(pieces)
+            finally:
+                in_pool = False
+
+        def spied(*args):
+            shard = run_shard(*args)
+            runs.append((args[0], in_pool, shard.nodes))
+            return shard
+
+        monkeypatch.setattr(search, "_pool_task", pool_task)
+        monkeypatch.setattr(search, "run_shard", spied)
+        rows = verify_theorem1(10, prune_level="marcus", jobs=2)
         assert all(row["match"] for row in rows)
-        assert pools == [2]
+        assert len(pools) == 1
+        bought = min(k for k, pooled, _ in runs if pooled)
+        assert bought < 10
+        assert not any(pooled for k, pooled, _ in runs if k < bought)
+        in_parent = sum(nodes for k, pooled, nodes in runs if k == bought and not pooled)
+        assert search.POOL_NODES <= in_parent <= search.POOL_NODES + search.PIECE_NODES + (bought + 2) ** 2
+        assert all(pooled for k, pooled, _ in runs if k > bought)
 
 
 class TestVerifyTheorem1:
@@ -1154,20 +1199,20 @@ class TestConjectureGuard:
     )
     def test_worker_error_does_not_wait_for_other_shards(self, monkeypatch):
         # one shard raises at once while every other one sleeps: the error
-        # must reach the caller before the sleeping shards end.  The parent's
-        # first task, a0 = 0, spends its budget at once, so every other
-        # shard goes to the pool.
+        # must reach the caller before the sleeping shards end.  The
+        # parent's first shard, a0 = 0, spends POOL_NODES at once, so every
+        # other shard goes to the pool.
         monkeypatch.setattr(search, "run_shard", _spend_then_raise_or_sleep)
         pools = _count_pools(monkeypatch)
         start = time.monotonic()
         with pytest.raises(CounterexampleError):
             find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=2))
         assert time.monotonic() - start < 5
-        assert pools == [2]
+        assert pools == [min(2, search._usable_cpus())]
         assert active_children() == []
 
     def test_in_process_error_starts_no_pool(self, monkeypatch):
-        # the parent runs the first task itself: its first shard raises
+        # the parent runs the first pieces itself: its first shard raises
         # before any pool exists, and none is started
         monkeypatch.setattr(search, "run_shard", _raise_or_sleep)
         pools = _count_pools(monkeypatch)
@@ -1201,7 +1246,7 @@ def _raise_or_sleep(k, n, first_a, *rest):
 
 
 def _spend_then_raise_or_sleep(k, n, first_a, *rest):
-    # a0 = 0 spends a whole task's budget, a0 = 1 raises, the rest sleep
+    # a0 = 0 spends the parent's whole budget, a0 = 1 raises, the rest sleep
     if first_a == 0:
-        return _core.ShardResult(n, first_a, [], search.PIECE_NODES, 0)
+        return _core.ShardResult(n, first_a, [], search.POOL_NODES, 0)
     _raise_or_sleep(k, n, first_a - 1, *rest)
