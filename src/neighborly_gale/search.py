@@ -46,7 +46,8 @@ Where a piece runs is a rent-or-buy choice.  While no pool runs, the
 parent runs the pieces itself, all of them at ``jobs`` = 1, so the stream
 yields each shard's leaves in the shard's order.  At ``jobs > 1`` it stops
 once it has spent ``POOL_NODES`` nodes, the break-even point of the pool's
-fixed cost, and starts a pool for the pieces left; a search that finds a
+fixed cost, and more than one piece is pending, and starts a pool for the
+pieces left; ``jobs`` never exceeds the usable CPUs.  A search that finds a
 pool running, as in a ``verify_theorem1`` sweep, sends it every piece.  A
 pool task has a budget of ``PIECE_NODES`` nodes.  The split counts nodes
 alone, so the pieces, and every count in ``SearchStats``, are the same at
@@ -246,13 +247,14 @@ def enumerate_diagrams(config: SearchConfig):
 class _Workers:
     """A pool of at most ``jobs`` processes, started on first use.
 
-    It never gets more workers than the pieces pending when it starts or
-    the CPUs this process may run on, and it is stopped, its workers
+    ``jobs`` is capped at the CPUs this process may run on, so on one CPU
+    every search stays in process.  The pool never gets more workers than
+    the pieces pending when it starts, and it is stopped, its workers
     joined, when the ``with`` block ends.
     """
 
     def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
+        self.jobs = min(jobs, _usable_cpus())
         self.pool = None
         self.size = 0
 
@@ -266,7 +268,7 @@ class _Workers:
 
     def start(self, pending: int):
         if self.pool is None:
-            self.size = min(self.jobs, pending, _usable_cpus())
+            self.size = min(self.jobs, pending)
             self.pool = Pool(processes=self.size)
         return self.pool
 
@@ -303,9 +305,9 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     """The shard of every piece, pieces handed back included, as each ends.
 
     Rent or buy: while no pool runs, the parent runs the pieces itself until
-    the search ends or it has spent ``POOL_NODES`` nodes, and at ``jobs`` = 1
-    it runs them all.  Only then does it start the pool, and a pool already
-    running gets every piece at once.  A pool task carries up to
+    the search ends or it has spent ``POOL_NODES`` nodes with more than one
+    piece pending, and at ``jobs`` = 1 it runs them all.  Only then does it
+    start the pool, and a pool already running gets every piece at once.  A pool task carries up to
     ``TASK_PIECES`` pieces, as most are tiny, and hands back what it has not
     started.  Each worker has a second task queued, so it never waits for the
     parent, and the pending pieces are spread over the free task slots.  How
@@ -315,6 +317,8 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     pending = deque(pieces)
     if workers.pool is None:
         yield from _run_task(pending, POOL_NODES if workers.jobs > 1 else math.inf)
+        while len(pending) == 1:  # a pool of one worker would leave the parent waiting
+            yield from _run_task(pending, 1)
     if not pending:
         return
 

@@ -442,7 +442,7 @@ class TestFindDelta3:
         assert serial.stats.nodes > search.POOL_NODES
         pools = _count_pools(monkeypatch)
         parallel = find_delta3(dataclasses.replace(config, jobs=2))
-        assert pools == [min(2, search._usable_cpus())]
+        assert pools == [2]
         assert active_children() == []
         assert _counts(parallel) == _counts(serial)
         assert serial.stats.pieces > len(_run_args(config, None))  # it split
@@ -871,7 +871,9 @@ class _InlinePool:
 
 
 def _inline_pools(monkeypatch) -> list[int]:
+    """Record the ``processes`` of every pool, run on two usable CPUs."""
     started: list[int] = []
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(search, "Pool", lambda processes: _InlinePool(processes, started))
     return started
 
@@ -1010,7 +1012,7 @@ class TestPieces:
     def test_pool_size_is_capped(self, monkeypatch):
         # with budgets of one node the parent runs one piece, and the pool
         # gets one worker per pending piece, at most jobs and at most one
-        # per CPU this process may use
+        # per CPU this process may use: on one CPU none starts
         config = SearchConfig(k=2, prune_level="marcus")
         first, *rest = _run_args(config, _seed_gap(2, _sum_cap(config)))
         opened = []
@@ -1019,11 +1021,22 @@ class TestPieces:
         assert 3 < pending < 64
         monkeypatch.setattr(search, "PIECE_NODES", 1)
         monkeypatch.setattr(search, "POOL_NODES", 1)
-        for cpus, jobs, size in ((64, 64, pending), (3, 64, 3), (64, 2, 2)):
+        for cpus, jobs, sizes in ((64, 64, [pending]), (3, 64, [3]), (64, 2, [2]), (1, 64, [])):
             pools = _inline_pools(monkeypatch)
             monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
             find_delta3(dataclasses.replace(config, jobs=jobs))
-            assert pools == [size]
+            assert pools == sizes
+
+    def test_no_pool_of_one_worker(self, monkeypatch):
+        # extremal k = 3 leaves one piece pending after 120 nodes: the parent
+        # runs it too, rather than start a pool whose one worker it would
+        # only wait on
+        pools = _inline_pools(monkeypatch)
+        monkeypatch.setattr(search, "POOL_NODES", 120)
+        config = SearchConfig(k=3, prune_level="extremal", emit_all=True)
+        serial = find_delta3(config)
+        assert _counts(find_delta3(dataclasses.replace(config, jobs=2))) == _counts(serial)
+        assert 1 not in pools
 
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -1097,7 +1110,7 @@ class TestPieces:
         monkeypatch.setattr(search, "run_shard", spied)
         rows = verify_theorem1(10, prune_level="marcus", jobs=2)
         assert all(row["match"] for row in rows)
-        assert len(pools) == 1
+        assert pools == [2]
         bought = min(k for k, pooled, _ in runs if pooled)
         assert bought < 10
         assert not any(pooled for k, pooled, _ in runs if k < bought)
@@ -1208,7 +1221,7 @@ class TestConjectureGuard:
         with pytest.raises(CounterexampleError):
             find_delta3(SearchConfig(k=2, prune_level="marcus", jobs=2))
         assert time.monotonic() - start < 5
-        assert pools == [min(2, search._usable_cpus())]
+        assert pools == [2]
         assert active_children() == []
 
     def test_in_process_error_starts_no_pool(self, monkeypatch):
@@ -1224,8 +1237,9 @@ class TestConjectureGuard:
 
 
 def _count_pools(monkeypatch) -> list[int]:
-    """Record the ``processes`` of every pool the search starts; they stay real."""
+    """Record the ``processes`` of every pool, run on two usable CPUs; they stay real."""
     started: list[int] = []
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
 
     def counted(processes):
         started.append(processes)
