@@ -307,11 +307,12 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     Rent or buy: while no pool runs, the parent runs the pieces itself until
     the search ends or it has spent ``POOL_NODES`` nodes with more than one
     piece pending, and at ``jobs`` = 1 it runs them all.  Only then does it
-    start the pool, and a pool already running gets every piece at once.  A pool task carries up to
-    ``TASK_PIECES`` pieces, as most are tiny, and hands back what it has not
-    started.  Each worker has a second task queued, so it never waits for the
-    parent, and the pending pieces are spread over the free task slots.  How
-    the pieces travel does not change any piece.  A worker's error reaches
+    start the pool, and a pool already running gets every piece at once.  A
+    pool task carries up to ``TASK_PIECES`` pieces, as most are tiny, and
+    hands back what it has not started.  Each worker has a second task
+    queued, so it never waits for the parent, and the pending pieces are
+    spread over the free task slots.  How the pieces travel does not change
+    any piece.  A worker's error reaches
     the caller as soon as the worker raises it.
     """
     pending = deque(pieces)
