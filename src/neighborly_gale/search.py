@@ -312,8 +312,8 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     hands back what it has not started.  Each worker has a second task
     queued, so it never waits for the parent, and the pending pieces are
     spread over the free task slots.  How the pieces travel does not change
-    any piece.  A worker's error reaches
-    the caller as soon as the worker raises it.
+    any piece.  A worker's error reaches the caller as soon as the worker
+    raises it.
     """
     pending = deque(pieces)
     if workers.pool is None:
