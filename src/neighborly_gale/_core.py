@@ -75,6 +75,20 @@ the node is cut either way.  A back label with fb <= 0 < fa is the
 mirror case.  The leaf runs ``diagram.is_minimal_cycle``, the definition,
 on its whole cycle.
 
+The same test bounds a node's children, which it would otherwise create
+only to cut.  Let d_front = p - sa + mf and d_back = p - sb + mb be the
+node's deficits, at depth t >= 1, so mf >= a_0 >= 0.  The new front label
+a of child (a, b) lies in the semicircles of front positions j < t, which
+sum sa + a - D_j, and in those past the child's prefix, which sum sa + a.
+When a > max(d_front, 0), a is positive and every one of them exceeds p,
+so a can be decremented in every completion: the child's own test cuts it
+at once, at i = t, whose check mf < sa + a - p is its first and has no
+diameter after i to read.  The back label b and d_back are the
+mirror case.  So the front label loop ends at max(d_front, 0) and the b
+range at max(d_back, 0).  At the last diameter the floors a >= d_front and
+b >= d_back meet these ceilings.  The node test stays for the older
+labels, which the new diameter's mass may make decrementable.
+
 Symmetry breaking and emission keep one rule, the least of a cycle's
 rotations and of its reverse's, on two encodings.  ``diagram.least_image``
 (wrapped by ``canonical_form``) applies it to the position-order label
@@ -102,9 +116,10 @@ its mass cap min(room, 2 label_cap r), which raises the child's lo.
 ``gap_floor`` does not fall as r grows when the child's xa and xb are
 both >= 1, which lowers the child's hi; otherwise it falls with that mass
 cap, which does not fall as r grows, and so it raises the child's lo
-(``floor_rests`` gives both ends).  A node whose lo is t + 1 first
-searches that count alone, where this diameter is the last and has its
-own floors, then the counts above it.  ``front_floor``'s h does not depend
+(``floor_rests`` gives both ends).  A node whose lo is t + 1 drops that
+count when one of the two semicircles that avoid its diameter t, which sum
+sa and sb, is below p; otherwise it first searches that count alone, where this
+diameter is the last and has its own floors, then the counts above it.  ``front_floor``'s h does not depend
 on the count, and a front label's b range is widest at the least open
 count, so the per-a skip and the front label break, taken there, hold at
 every open count.  The b loop ends at a cut at or past b_star only when
@@ -408,6 +423,10 @@ def run_shard(
         live1: list[int],  # rotations j tied after the global pair flip
     ) -> None:
         nonlocal nodes
+        if lo == t + 1 and (sa < p or sb < p):
+            # count t + 1 would end with this diameter, but the two
+            # semicircles that avoid it are settled below p
+            lo += 1
         if hi > lo and lo == t + 1:
             # count t + 1 ends with this diameter, and its children are
             # leaves: search it on its own, which counts this node, then the
@@ -461,6 +480,14 @@ def run_shard(
         db = d_back if d_back > 0 else 0
         if df + db > sum_cap - s_run:
             return
+        a_top = b_top = label_cap  # the largest front and back label of a child
+        if want_minimal:
+            # a new front label above max(d_front, 0) can already be
+            # decremented, and the child's own first check (i = t) would cut
+            # it; so for b and d_back.  Never create such a child (module
+            # docstring)
+            a_top = df if df < label_cap else label_cap
+            b_top = db if db < label_cap else label_cap
 
         d0c = codes[0]
         # a_t follows a_{t-1} and b_t follows b_{t-1} around the polygon
@@ -475,10 +502,8 @@ def run_shard(
             return
         last = lo == t + 1  # then hi == lo: this diameter is the last
         if last:
-            # the two semicircles that avoid the last diameter are settled
-            if sa < p or sb < p:
-                return
-            # the rest get no mass after this diameter: these floors bring them to p
+            # the two semicircles that avoid the last diameter reach p (see
+            # the top), and the rest get no mass after it: these floors bring them to p
             if d_front > a_lo:
                 a_lo = d_front
             if d_back > b_base:
@@ -537,7 +562,7 @@ def run_shard(
         # a rotation tied with the identity floors a at ra1.  The b range is
         # widest at the least open count, so the per-a floor and the front
         # label break, taken there, hold for every open count.
-        for a in range(a_lo if a_lo > ra1 else ra1, label_cap + 1):
+        for a in range(a_lo if a_lo > ra1 else ra1, a_top + 1):
             room = top - a - lo
             if room < 0:
                 break
@@ -554,7 +579,7 @@ def run_shard(
                 b_lo = ra2 + 1
             if flip and a > b_lo:
                 b_lo = a
-            b_cap = label_cap if label_cap < room else room
+            b_cap = b_top if b_top < room else room
             if b_lo > b_cap:
                 continue
             f_a = f_run + a * xa  # a closes front-front-back triangles

@@ -9,6 +9,9 @@ per dihedral class, over spaces restricted by three prune levels:
 * ``minimal``  -- marcus plus minimality (no label can be decremented),
   tested at every node of the search: a label that can be decremented in
   a prefix can be decremented in every completion, so the subtree is cut.
+  A new label above both 0 and its side's worst semicircle deficit can
+  already be decremented, so the deficits cap the label loops and such a
+  child is never created.
 * ``extremal`` -- minimal plus the local structure a gap-minimizing diagram
   must have: adjacent label sums at least 2, and tighter per-n label and
   diameter-count caps.  Justified for optima only.

@@ -23,6 +23,7 @@ from neighborly_gale._core import (
 )
 from neighborly_gale.diagram import (
     GaleDiagram,
+    _cycle_semicircle_sums,
     canonical_form,
     count_cofacets,
     dihedral_orbit,
@@ -220,20 +221,55 @@ def _padded(labels, n):
     return tuple(labels[:t]) + (0,) * (n - t) + tuple(labels[t:]) + (0,) * (n - t)
 
 
-def _minimality_cuts(labels, k):
-    """Does the ``minimal`` search cut the node at the prefix ``labels``?
+def _children(labels, k, level):
+    """The paths of the children that the ``level`` search creates at the prefix ``labels``.
 
     The node is searched as the start of a piece at count t + 2, so its state
-    comes from the path rebuild.  With no bound, a sum cap that binds nothing
-    and labels up to ``cap`` > every prefix label, a node the minimality test
-    keeps has the child (cap, cap), which a budget of 0 hands back.
+    comes from the path rebuild, and a budget of 0 hands back every child it
+    would recurse into.  With no bound, a sum cap that binds nothing and
+    labels up to ``cap`` > every prefix label, a node at ``marcus`` has
+    every child that adjacency and symmetry allow, (cap, cap) among them.
     """
     t = len(labels) // 2
     cap = max(k + 1, *labels) + 1
     opened = []
-    shard = run_shard(k, t + 2, labels[0], "minimal", 1000, cap, None, t + 2, tuple(labels), 0, opened)
+    shard = run_shard(k, t + 2, labels[0], level, 1000, cap, None, t + 2, tuple(labels), 0, opened)
     assert shard.nodes == 1 and not shard.leaves
-    return not opened
+    return [piece[-1] for piece in opened]
+
+
+def _newest_tight(path, k):
+    """Does each positive label of the newest diameter of ``path`` lie in a
+    semicircle of mass at most k+1, with the prefix padded by one zero diameter?"""
+    t = len(path) // 2
+    n = t + 1
+    cycle = _padded(path, n)
+    sums = _cycle_semicircle_sums(cycle)
+    # the semicircle clockwise of position j holds positions j+1 .. j+n-1
+    return all(
+        not cycle[i] or any(sums[(i - d) % (2 * n)] <= k + 1 for d in range(1, n))
+        for i in (t - 1, n + t - 1)
+    )
+
+
+def _minimal_children_by_definition(labels, k):
+    """The ``marcus`` children of the prefix ``labels`` that the definition
+    keeps: the prefix is minimal, and so is each label of the new diameter."""
+    if not is_minimal_cycle(_padded(labels, len(labels) // 2 + 1), k):
+        return []
+    return [child for child in _children(labels, k, "marcus") if _newest_tight(child, k)]
+
+
+def _assert_dropped_children_are_not_minimal(labels, k):
+    # the label ceilings drop a child of a minimal prefix only when its
+    # zero-padded prefix is not minimal, so no completion of it is
+    # (test_prefix_cut_is_sound)
+    if not is_minimal_cycle(_padded(labels, len(labels) // 2 + 1), k):
+        return
+    kept = set(_children(labels, k, "minimal"))
+    for child in _children(labels, k, "marcus"):
+        if child not in kept:
+            assert not is_minimal_cycle(_padded(child, len(child) // 2 + 1), k), child
 
 
 class TestMinimalCut:
@@ -297,14 +333,14 @@ class TestMinimalCut:
             assert is_minimal_cycle(padded(n), k) == expected, n
 
     def test_node_test_is_the_definition_on_small_prefixes(self):
-        # every prefix of t < n <= 4 diameters with labels 0..3: the DFS
-        # cuts the node iff the zero-padded prefix is not minimal
+        # every prefix of t <= 3 diameters with labels 0..3: the DFS creates
+        # no child of a prefix that is not minimal, and of a minimal one
+        # every marcus child whose new labels cannot be decremented yet
         for k in (1, 2, 3):
             for t in (1, 2, 3):
                 for labels in product(range(4), repeat=2 * t):
-                    cut = _minimality_cuts(labels, k)
-                    for n in range(t + 1, 5):
-                        assert cut == (not is_minimal_cycle(_padded(labels, n), k)), (labels, k, n)
+                    expected = _minimal_children_by_definition(labels, k)
+                    assert _children(labels, k, "minimal") == expected, (labels, k)
 
     @given(
         st.integers(1, 6).flatmap(
@@ -314,8 +350,22 @@ class TestMinimalCut:
     )
     @example([3, 0, 0, 3], 2)  # a label held only by semicircles of the padding
     def test_node_test_is_the_definition(self, labels, k):
-        t = len(labels) // 2
-        assert _minimality_cuts(labels, k) == (not is_minimal_cycle(_padded(labels, t + 1), k))
+        assert _children(labels, k, "minimal") == _minimal_children_by_definition(labels, k)
+
+    def test_label_ceilings_drop_only_children_that_are_not_minimal_small(self):
+        for k in (1, 2, 3):
+            for t in (1, 2):
+                for labels in product(range(5), repeat=2 * t):
+                    _assert_dropped_children_are_not_minimal(labels, k)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda t: st.lists(st.integers(0, 6), min_size=2 * t, max_size=2 * t)
+        ),
+        st.integers(1, 7),
+    )
+    def test_label_ceilings_drop_only_children_that_are_not_minimal(self, labels, k):
+        _assert_dropped_children_are_not_minimal(labels, k)
 
     @pytest.mark.parametrize("k,n_max", [(2, None), (3, 5)])
     def test_minimal_stream_is_filtered_marcus_stream(self, k, n_max):
@@ -500,11 +550,11 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,ceiling",
         [
-            ("minimal", 2, 105),
-            ("minimal", 3, 259),
-            ("minimal", 4, 572),
-            ("minimal", 5, 1148),
-            ("minimal", 6, 2146),
+            ("minimal", 2, 104),
+            ("minimal", 3, 256),
+            ("minimal", 4, 567),
+            ("minimal", 5, 1139),
+            ("minimal", 6, 2134),
             ("extremal", 2, 35),
             ("extremal", 3, 122),
             ("extremal", 4, 278),
@@ -516,6 +566,21 @@ class TestFindDelta3:
     def test_node_ceiling(self, level, k, ceiling):
         result = find_delta3(SearchConfig(k=k, prune_level=level))
         assert result.stats.nodes <= ceiling
+
+    @pytest.mark.parametrize(
+        "level,k,sum_cap,ceiling",
+        [
+            ("minimal", 2, 15, 7165),
+            ("minimal", 3, None, 59599),
+            ("extremal", 2, None, 293),
+            ("extremal", 3, None, 1671),
+            ("extremal", 4, None, 11269),
+        ],
+        ids=["minimal-k2-cap15", "minimal-k3", "extremal-k2", "extremal-k3", "extremal-k4"],
+    )
+    def test_stream_node_ceiling(self, level, k, sum_cap, ceiling):
+        config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
+        assert sum(run_shard(*args).nodes for args in _shard_args(config, None)) <= ceiling
 
     def test_stats_populated(self):
         result = find_delta3(SearchConfig(k=2))
@@ -929,7 +994,8 @@ class TestPieces:
         # and the minimality test of its first node reads the worst prefix
         # differences that the path rebuilt.  The bound is fixed (k >= 4),
         # so a piece is the same piece at marcus, with the leaves that are
-        # not minimal dropped, unless its prefix is not minimal: then it is
+        # not minimal and the children whose new labels can already be
+        # decremented dropped, unless its prefix is not minimal: then it is
         # cut at its first node.  The pieces search the whole tree
         k = 7
         config = SearchConfig(k=k, prune_level="minimal", emit_all=True)
@@ -943,7 +1009,11 @@ class TestPieces:
             if is_minimal_cycle(_padded(path, len(path) // 2 + 1), k):
                 at_marcus = []
                 marcus = run_shard(*args[:3], "marcus", *args[4:10], at_marcus)
-                assert opened == [(*piece[:3], "minimal", *piece[4:]) for piece in at_marcus]
+                assert opened == [
+                    (*piece[:3], "minimal", *piece[4:])
+                    for piece in at_marcus
+                    if _newest_tight(piece[-1], k)
+                ]
                 assert shard.leaves == [leaf for leaf in marcus.leaves if is_minimal_cycle(leaf[0], k)]
             else:
                 assert not opened and not shard.leaves, path
