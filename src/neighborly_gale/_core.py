@@ -103,6 +103,45 @@ prefixes.  While every diameter so far is symmetric (a_s = b_s), the
 pair-flipped image without rotation ties the identity, so the next
 diameter needs a_t <= b_t.
 
+The reversals of C are read from a pivot backwards: from c_s the view
+reads c_s, ..., c_0, then f_{n-1}, f_{n-2}, ..., and from f_s it reads
+f_s, ..., f_0, then c_{n-1}, c_{n-2}, ..., with c_t and f_t the codes
+of (a_t, b_t) and (b_t, a_t).  Each node compares the views pivoted at its
+own diameter over the prefix and cuts a child that loses there; a view
+that reads the prefix back, c_s..c_0 = c_0..c_s or f_s..f_0 = c_0..c_s,
+ties and is left for later.  At the last diameter, t = n - 1, such a view
+next reads the last diameter where the identity reads c_{s+1}: the
+c-pivot reads f_{n-1}, which floors the flipped pair (b, a) at c_{s+1},
+and the f-pivot reads c_{n-1}, which floors the pair itself.  At
+s = n - 2 the c-pivot's floor is f_{n-1} >= c_{n-1}, a_{n-1} <= b_{n-1},
+and the f-pivot's is empty.  A child on its floor ties that view once
+more, and the view goes on past the prefix, so a tie always reaches the
+leaf, whose ``is_pair_canonical`` stays the definition: the floors drop
+only children that lose at the code they read.  A tied pivot reads c_0
+first, so the search sets its per-depth flag only with a child whose
+code, or flipped code, is c_0.  (Sawada's bracelet generation keeps the
+same reversal comparison running as the prefix grows: "Generating
+bracelets in constant amortized time", SIAM J. Comput. 31(1), 2001.)
+Likewise, when the last diameter's code is c_0, the rotation that starts
+there reads f_0, f_1, ... where the identity reads c_1, c_2, ...; past the
+prefix it reads f_{n-2} >= c_0 = c_{n-1}, the floor of the rotation from
+f_{n-2}, so only the prefix can put it below the identity, and a child
+that it puts there is skipped.
+
+P3 also charges the open diameters' mass.  With a_0 = 0, P3 across the
+half boundary asks b_{n-1} >= 1.  The r >= 1 diameters after a child
+carry at least one unit each, and with exactly one each the units
+alternate sides: two front units in a row leave two adjacent back labels
+at 0, and two back units two adjacent front labels.  After a child with
+a = 0 the first unit is on the front, after one with b = 0 on the back,
+so the last unit lands on the back only when r is even after a = 0 and
+odd after b = 0.  Otherwise the open diameters need r + 1 units, and the
+search takes that unit off the child's room; a child with both labels
+positive can start on either side and needs r.  That least mass does not
+fall as r grows, so the room at the node's least open count decides every
+count.  The unit is charged where adjacent positions need mass 1, not at
+``extremal``.
+
 One shard searches a run of diameter counts n..n_last as one tree.  A
 prefix of t diameters is one node for every count above t that can still
 complete it, and the node carries the least and the largest such count,
@@ -368,7 +407,10 @@ def run_shard(
     want_minimal = level in ("minimal", "extremal")
     adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
 
-    # diameters t.. of the arrays are 0 while the search is at depth t
+    # at depth t no read goes past diameter t, and diameter t is read once
+    # the b loop has set it, except that r2 reads codes[t] first, as 0
+    # (j = 0 in live1): so each depth resets codes[t], with av[t] and
+    # bv[t], on its way out; the other arrays keep stale entries from t on
     av = [0] * n_last  # front labels a_t
     bv = [0] * n_last  # back labels b_t
     codes = [0] * n_last  # (a, b) encoded as a * K + b for fast lexicographic compares
@@ -378,6 +420,14 @@ def run_shard(
     empty = -1 << 62  # the maximum of no values
     mfs = [empty] * n_last  # the mf and mb of each depth, for the minimality test
     mbs = [empty] * n_last
+    # the reversal pivoted at c_s reads the prefix back, c_s..c_0 = c_0..c_s
+    # (cpiv[s]), or the one pivoted at f_s does, f_s..f_0 = c_0..c_s
+    # (fpiv[s]).  The search writes each only with a child whose code
+    # (flipped code) is codes[0], the path rebuild for every path diameter,
+    # and reads it only while codes[s] (fcodes[s]) is codes[0], so no stale
+    # entry is read
+    cpiv = [True] + [False] * (n_last - 1)  # pivot 0 always reads c_0 back
+    fpiv = [False] * n_last
 
     best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
@@ -529,6 +579,31 @@ def run_shard(
         # every diameter so far is symmetric: the pair-flipped image then
         # ties the identity, and (a_t, b_t) <= (b_t, a_t) asks a_t <= b_t
         flip = live1 and live1[0] == 0
+        unit_a = unit_b = 0  # one more unit the diameters after child a = 0 (b = 0) need
+        if last:
+            # a reversal pivoted at s < t that reads the prefix back next reads
+            # the last diameter where the identity reads c_{s+1}: f_t after
+            # c_s..c_0, c_t after f_s..f_0 (module docstring).  At s = t - 1
+            # the c-pivot asks f_t >= c_t, a_t <= b_t, and the f-pivot nothing
+            for s in range(t - 1):
+                if codes[s] == d0c and cpiv[s] and codes[s + 1] > r2:
+                    r2 = codes[s + 1]
+                if fcodes[s] == d0c and fpiv[s] and codes[s + 1] > r1:
+                    r1 = codes[s + 1]
+            if codes[t - 1] == d0c and cpiv[t - 1]:
+                flip = True
+        elif adj == 1 and not av[0]:
+            # b_{n-1} precedes a_0 = 0, so b_{n-1} >= 1.  With one unit each,
+            # the r >= 1 diameters after a child alternate sides from the one
+            # opposite the child's zero label, and end on the back only when
+            # r is even after a = 0 and odd after b = 0 (module docstring).
+            # That least mass does not fall as r grows, so the least open
+            # count decides for every count
+            r = lo - t - 1
+            if r % 2:
+                unit_a = 1
+            else:
+                unit_b = 1
 
         # reversal pivoted at t, plain and pair-flipped, restricted to the
         # assigned prefix: the first strict difference decides
@@ -563,9 +638,9 @@ def run_shard(
         # widest at the least open count, so the per-a floor and the front
         # label break, taken there, hold for every open count.
         for a in range(a_lo if a_lo > ra1 else ra1, a_top + 1):
-            room = top - a - lo
-            if room < 0:
-                break
+            room = top - a - lo - (unit_a if a == 0 else 0)
+            if room < unit_b:
+                break  # at room 0 only b = 0 fits, and then it needs the unit
             b_lo = b_base
             if a == 0 and b_lo == 0:
                 b_lo = 1  # no dead diameters
@@ -613,8 +688,23 @@ def run_shard(
             for b in range(b_lo, b_cap + 1):
                 code = a * K + b
                 fcode = b * K + a
-                if code == d0c and rv0 < 0:
-                    continue
+                if code == d0c:
+                    if rv0 < 0:
+                        continue
+                    if last:
+                        # the rotation from c_t = c_0 on reads f_0, f_1, ...
+                        # where the identity reads c_1, c_2, ...; past the
+                        # prefix it reads f_{t-1} >= c_0 = c_t first, so only
+                        # the prefix can put it below the identity
+                        below = False
+                        for s in range(1, t):
+                            x = fcodes[s - 1]
+                            y = codes[s]
+                            if x != y:
+                                below = x < y
+                                break
+                        if below:
+                            continue
                 if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fcodes[0] < code)):
                     continue
                 f_child = f_a + a * b + b * xb
@@ -669,12 +759,14 @@ def run_shard(
                 sbb = sb + b
                 nmf = mf if mf >= saa - sb else saa - sb
                 nmb = mb if mb >= sbb - sa else sbb - sa
-                nlive0 = [j for j in live0 if codes[t - j] == code]
+                nlive0 = [j for j in live0 if codes[t - j] == code] if live0 else []
                 if code == d0c:
                     nlive0.append(t)
-                nlive1 = [j for j in live1 if codes[t - j] == fcode]
+                    cpiv[t] = rv0 == 0
+                nlive1 = [j for j in live1 if codes[t - j] == fcode] if live1 else []
                 if fcode == d0c:
                     nlive1.append(t)
+                    fpiv[t] = rv1 == 0 and fcodes[0] == code
 
                 dfs(
                     t + 1,
@@ -720,6 +812,8 @@ def run_shard(
             live1 = [j for j in live1 if codes[t - j] == fcode]
             if fcode == codes[0]:
                 live1.append(t)
+            cpiv[t] = all(codes[t - i] == codes[i] for i in range(t + 1))
+            fpiv[t] = all(fcodes[t - i] == codes[i] for i in range(t + 1))
         dfs(depth, n, n_last, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1)
         return ShardResult(n, first_a, leaves, nodes, len(leaves))
 
@@ -739,5 +833,6 @@ def run_shard(
         bv[0] = b0
         codes[0] = a0 * K + b0
         fcodes[0] = b0 * K + a0
+        fpiv[0] = a0 == b0
         dfs(1, n, hi, a0 + b0, a0 * b0, a0, b0, 0, 0, a0, b0, [], [0] if a0 == b0 else [])
     return ShardResult(n, first_a, leaves, nodes, len(leaves))

@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import time
+from functools import cache
 from itertools import islice, product
 from multiprocessing import Pool, active_children, get_start_method
 from unittest.mock import patch
@@ -374,6 +375,132 @@ class TestMinimalCut:
         assert list(minimal) == [d for d in marcus if is_minimal(d, k)]
 
 
+def _walk(k, level, sum_cap):
+    """(args, shard, children) of every node of the space's one-count shards.
+
+    Each node is searched as a piece of its own with a budget of no nodes,
+    so its state comes from the path rebuild, and it hands back the paths
+    of the children it would recurse into; a node of the last diameter
+    evaluates its leaves.  The roots come first, with empty paths.
+    """
+    pending = _shard_args(SearchConfig(k=k, prune_level=level, sum_cap=sum_cap), None)
+    nodes = []
+    while pending:
+        args = pending.pop()
+        opened = []
+        shard = run_shard(*args, 0, opened)
+        nodes.append((args, shard, [piece[-1] for piece in opened]))
+        pending += opened
+    return nodes
+
+
+# the spaces whose every node the last-diameter tests visit: k = 2 and 3 at
+# each level, at the default sum cap and at slack ones
+WALKED = [
+    (2, "marcus", 10),
+    (2, "marcus", 12),
+    (2, "minimal", 12),
+    (2, "minimal", 15),
+    (2, "extremal", 10),
+    (2, "extremal", 12),
+    (3, "marcus", 11),
+    (3, "marcus", 12),
+    (3, "minimal", 12),
+    (3, "extremal", 13),
+    (3, "extremal", 16),
+]
+
+
+def _is_leaf(labels, k, level, sum_cap):
+    """Is the label cycle in the ``level`` space of ``k``, up to symmetry?"""
+    n = len(labels) // 2
+    adj = 2 if level == "extremal" else 1
+    if sum(labels) > sum_cap or any(labels[i] + labels[i + n] == 0 for i in range(n)):
+        return False  # over the cap, or a dead diameter
+    if any(labels[i - 1] + labels[i] < adj for i in range(2 * n)):
+        return False
+    if not is_k_neighborly(GaleDiagram(n, labels), k):
+        return False
+    return level == "marcus" or is_minimal_cycle(labels, k)
+
+
+@cache
+def _least_completion_mass(a0, a, b, r):
+    """Least mass of r diameters after a child (a, b) that meets P2 and P3.
+
+    The first diameter is (a0, b0) with b0 >= 1, which settles the pair
+    a_{n-1}, b_0.  Labels of 0 and 1 suffice: lowering a positive label to
+    1 keeps every sum that P2 and P3 ask to be >= 1.
+    """
+    least = None
+    for tail in product((0, 1), repeat=2 * r):
+        front = (a,) + tail[:r]
+        back = (b,) + tail[r:] + (a0,)  # b_{n-1} precedes a_0
+        if any(tail[i] + tail[r + i] == 0 for i in range(r)):
+            continue  # a dead diameter
+        if any(front[i] + front[i + 1] == 0 for i in range(r)):
+            continue
+        if any(back[i] + back[i + 1] == 0 for i in range(r + 1)):
+            continue
+        if least is None or sum(tail) < least:
+            least = sum(tail)
+    return least
+
+
+class TestLastDiameterCuts:
+    @pytest.mark.parametrize("k,level,sum_cap", WALKED)
+    def test_every_last_node_keeps_exactly_its_canonical_leaves(self, k, level, sum_cap):
+        # the floors of tied rotations and of reversals that read the prefix
+        # back, and the skip of the last rotation, may drop only children
+        # whose full code cycle fails is_pair_canonical: each node of the
+        # last diameter keeps exactly the canonical (a, b) of the space
+        last_nodes = 0
+        for args, shard, _ in _walk(k, level, sum_cap):
+            n, cap, path = args[1], args[5], args[8]
+            t = len(path) // 2
+            if t != n - 1:
+                continue
+            last_nodes += 1
+            front, back = path[:t], path[t:]
+            expected = set()
+            for a, b in product(range(cap + 1), repeat=2):
+                labels = front + (a,) + back + (b,)
+                if _is_leaf(labels, k, level, sum_cap) and is_pair_canonical(
+                    pair_cycle(labels, cap + 1)
+                ):
+                    expected.add(labels)
+            assert {labels for labels, _, _ in shard.leaves} == expected, args
+        assert last_nodes > 20
+
+    @pytest.mark.parametrize("k,level,sum_cap", [w for w in WALKED if w[1] != "extremal"])
+    def test_p3_unit_drops_only_children_without_a_completion(self, k, level, sum_cap):
+        # with a_0 = 0, P3 across the half boundary may cost the diameters
+        # after a child one unit more than one per diameter.  Against the
+        # same node under a sum cap that binds nothing, the node keeps
+        # exactly the children whose least completion that meets P2 and P3
+        # fits the sum cap, unless its deficits cut it whole
+        p = k + 1
+        checked = 0
+        for args, shard, children in _walk(k, level, sum_cap):
+            n, first, cap, path = args[1], args[2], args[5], args[8]
+            t = len(path) // 2
+            r = n - t - 1  # the diameters after a child
+            if not path or r < 1 or r > 5:
+                continue
+            opened = []
+            run_shard(k, n, first, level, 1000, cap, None, n, path, 0, opened)
+            free = [piece[-1] for piece in opened]
+            _, s, sa, sb, _, _, mf, mb = prefix_state(path[:t], path[t:])
+            if max(p - sa + mf, 0) + max(p - sb + mb, 0) > sum_cap - s:
+                assert children == [], args
+                continue
+            least = [sum(c) + _least_completion_mass(first, c[t], c[-1], r) for c in free]
+            assert children == [c for c, m in zip(free, least) if m <= sum_cap], args
+            # children that one unit per diameter would have kept
+            checked += sum(sum(c) + r <= sum_cap < m for c, m in zip(free, least))
+        assert checked > 5
+
+
 class TestEnumerate:
     def test_k2_extremal_contains_all_ones(self):
         stream = list(enumerate_diagrams(SearchConfig(k=2, prune_level="extremal")))
@@ -435,24 +562,12 @@ class TestEnumerate:
     @pytest.mark.parametrize("level", ["marcus", "minimal"])
     @pytest.mark.parametrize("k,n_hi", [(2, 4), (4, 3)])
     def test_stream_matches_brute_force_small(self, k, n_hi, level):
-        from itertools import product
-
-        expected = set()
-        for n in range(2, n_hi + 1):
-            two_n = 2 * n
-            for labels in product(range(k + 2), repeat=two_n):
-                if sum(labels) > 4 * (k + 1):
-                    continue
-                if any(labels[i] + labels[i + n] == 0 for i in range(n)):
-                    continue
-                if any(labels[i] + labels[(i + 1) % two_n] == 0 for i in range(two_n)):
-                    continue
-                d = GaleDiagram(n, labels)
-                if not is_k_neighborly(d, k):
-                    continue
-                if level == "minimal" and not is_minimal(d, k):
-                    continue
-                expected.add((n, canonical_form(d).labels))
+        expected = {
+            (n, canonical_form(GaleDiagram(n, labels)).labels)
+            for n in range(2, n_hi + 1)
+            for labels in product(range(k + 2), repeat=2 * n)
+            if _is_leaf(labels, k, level, 4 * (k + 1))
+        }
         got = {
             (d.n, d.labels)
             for d in enumerate_diagrams(SearchConfig(k=k, prune_level=level, n_max=n_hi))
@@ -539,7 +654,7 @@ class TestFindDelta3:
     # ids leave out the ceilings, so lowering one keeps the test's name
     @pytest.mark.parametrize(
         "k,ceiling",
-        [(2, 105), (3, 260), (4, 573), (5, 1152), (6, 2152)],
+        [(2, 104), (3, 260), (4, 573), (5, 1152), (6, 2152)],
         ids=["k2", "k3", "k4", "k5", "k6"],
     )
     def test_marcus_node_ceiling(self, k, ceiling):
@@ -550,7 +665,7 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,ceiling",
         [
-            ("minimal", 2, 104),
+            ("minimal", 2, 103),
             ("minimal", 3, 256),
             ("minimal", 4, 567),
             ("minimal", 5, 1139),
@@ -570,17 +685,33 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,sum_cap,ceiling",
         [
-            ("minimal", 2, 15, 7165),
-            ("minimal", 3, None, 59599),
-            ("extremal", 2, None, 293),
-            ("extremal", 3, None, 1671),
-            ("extremal", 4, None, 11269),
+            ("minimal", 2, 15, 6800),
+            ("minimal", 3, None, 55666),
+            ("extremal", 2, None, 273),
+            ("extremal", 3, None, 1543),
+            ("extremal", 4, None, 10604),
         ],
         ids=["minimal-k2-cap15", "minimal-k3", "extremal-k2", "extremal-k3", "extremal-k4"],
     )
     def test_stream_node_ceiling(self, level, k, sum_cap, ceiling):
         config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
         assert sum(run_shard(*args).nodes for args in _shard_args(config, None)) <= ceiling
+
+    def test_stream_canonicality_checks(self, monkeypatch):
+        # the last diameter's floors leave few non-canonical leaves to the
+        # check; stronger floors may lower this count, none may raise it
+        calls = 0
+        check = _core.is_pair_canonical
+
+        def counted(cycle):
+            nonlocal calls
+            calls += 1
+            return check(cycle)
+
+        monkeypatch.setattr(_core, "is_pair_canonical", counted)
+        config = SearchConfig(k=2, prune_level="marcus")
+        assert sum(run_shard(*args).evaluated for args in _shard_args(config, None)) == 5051
+        assert calls <= 5855
 
     def test_stats_populated(self):
         result = find_delta3(SearchConfig(k=2))
@@ -774,7 +905,7 @@ class TestBoundCut:
         if level == "marcus":
             # the unbounded space: its leaves are fixed, and stronger cuts
             # may lower its node count but never raise it
-            leaves, ceiling = {2: (5051, 30513), 3: (315720, 1764348)}[k]
+            leaves, ceiling = {2: (5051, 19779), 3: (315720, 1104654)}[k]
             assert sum(full.evaluated for _, full in unbounded) == leaves
             assert sum(full.nodes for _, full in unbounded) <= ceiling
         for args, full in unbounded:
@@ -1114,12 +1245,18 @@ class TestPieces:
             monkeypatch.delattr(os, "sched_getaffinity")
         assert search._usable_cpus() == (os.cpu_count() or 1)
 
-    @pytest.mark.parametrize("level", PRUNE_LEVELS)
-    def test_stream_in_pieces_of_one_node(self, level, monkeypatch):
+    @pytest.mark.parametrize(
+        "k,level,sum_cap",
+        [(2, level, None) for level in PRUNE_LEVELS] + [(2, "marcus", 10), (3, "minimal", None)],
+        ids=[*PRUNE_LEVELS, "marcus-k2-cap10", "minimal-k3"],
+    )
+    def test_stream_in_pieces_of_one_node(self, k, level, sum_cap, monkeypatch):
         # a piece finishes the leaf loop it is in and hands back the rest of
         # its shard in depth-first order: pieces of one node yield the
-        # default stream and search the nodes of the whole shards
-        config = SearchConfig(k=2, prune_level=level)
+        # default stream and search the nodes of the whole shards.  Many
+        # pieces start below reversals that read their prefix back, whose
+        # floors at the last diameter come from the path rebuild
+        config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
         whole = [run_shard(*args) for args in _shard_args(config, None)]
         pieces = []
 
