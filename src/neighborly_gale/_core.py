@@ -126,21 +126,30 @@ Likewise, when the last diameter's code is c_0, the rotation that starts
 there reads f_0, f_1, ... where the identity reads c_1, c_2, ...; past the
 prefix it reads f_{n-2} >= c_0 = c_{n-1}, the floor of the rotation from
 f_{n-2}, so only the prefix can put it below the identity, and a child
-that it puts there is skipped.
+that it puts there is skipped.  The search keeps that comparison per
+depth: the first difference of f_0..f_{u-1} against c_1..c_u, or 0.
 
-P3 also charges the open diameters' mass.  With a_0 = 0, P3 across the
-half boundary asks b_{n-1} >= 1.  The r >= 1 diameters after a child
-carry at least one unit each, and with exactly one each the units
-alternate sides: two front units in a row leave two adjacent back labels
-at 0, and two back units two adjacent front labels.  After a child with
-a = 0 the first unit is on the front, after one with b = 0 on the back,
-so the last unit lands on the back only when r is even after a = 0 and
-odd after b = 0.  Otherwise the open diameters need r + 1 units, and the
-search takes that unit off the child's room; a child with both labels
-positive can start on either side and needs r.  That least mass does not
-fall as r grows, so the room at the node's least open count decides every
-count.  The unit is charged where adjacent positions need mass 1, not at
-``extremal``.
+A child's room charges its r >= 1 open diameters their least mass, which
+with a_0 = 0 exceeds one unit each in three ways.  Every diameter's code
+and flipped code are at least c_0 = (0, b_0), since a smaller one would
+start a smaller rotation, so with b_0 >= 2 each open diameter carries two
+units.  P3 across the half boundary asks b_{n-1} >= 1.  With exactly one
+unit each the open diameters alternate sides: two front units in a row
+leave two adjacent back labels at 0, and two back units two adjacent
+front labels.  After a child with a = 0 the first unit is on the front,
+after one with b = 0 on the back, so the last unit lands on the back only
+when r is even after a = 0 and odd after b = 0; otherwise they need
+r + 1 units.  A child with both labels positive can start on either side.
+And when the prefix through the child reads f_0, f_1, ... below
+c_1, c_2, ..., the last diameter is not c_0, so its code exceeds c_0 and,
+with b_{n-1} >= 1, it carries two units: r + 1 again.  A last diameter
+(1, 1) pays both units at once, so the charges combine as a maximum: 2r
+when b_0 >= 2, else r + 1 when either unit is due, else r.  None of them
+falls as r grows, so the room at the node's least open count decides
+every count, and the same least masses lower a node's largest open count
+and the root's.  P3's unit is charged where adjacent positions need mass
+1, not at ``extremal``; the code floors and b_{n-1} >= 1 hold at every
+level.
 
 One shard searches a run of diameter counts n..n_last as one tree.  A
 prefix of t diameters is one node for every count above t that can still
@@ -428,6 +437,13 @@ def run_shard(
     # entry is read
     cpiv = [True] + [False] * (n_last - 1)  # pivot 0 always reads c_0 back
     fpiv = [False] * n_last
+    # the rotation from a last diameter equal to c_0 reads f_0, f_1, ...
+    # where the identity reads c_1, c_2, ...: frot[u] is the first
+    # difference f_{s-1} - c_s over s <= u, or 0, so its sign says whether
+    # f_0..f_{u-1} reads below, like or above c_1..c_u.  The search writes
+    # it with every child it recurses into, the path rebuild for every path
+    # diameter, and depth t reads frot[t - 1], set on its own path
+    frot = [0] * n_last
 
     best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
@@ -546,8 +562,17 @@ def run_shard(
         # this diameter carries at least a_lo and at least 1, every later one
         # at least 1: child (a, b) leaves room for the counts up to top - a - b
         top = sum_cap + t + 1 - s_run
-        if hi > top - (a_lo or 1):
-            hi = top - (a_lo or 1)
+        cap = top - (a_lo or 1)
+        if not av[0]:
+            # the open diameters' least mass (module docstring): two units
+            # each, or one more on the last diameter
+            if bv[0] > 1:
+                if cap > t + (sum_cap - s_run) // 2:
+                    cap = t + (sum_cap - s_run) // 2
+            elif frot[t - 1] < 0 and cap > top - 2:
+                cap = top - 2
+        if hi > cap:
+            hi = cap
         if lo > hi:
             return
         last = lo == t + 1  # then hi == lo: this diameter is the last
@@ -579,7 +604,11 @@ def run_shard(
         # every diameter so far is symmetric: the pair-flipped image then
         # ties the identity, and (a_t, b_t) <= (b_t, a_t) asks a_t <= b_t
         flip = live1 and live1[0] == 0
-        unit_a = unit_b = 0  # one more unit the diameters after child a = 0 (b = 0) need
+        # the units the diameters after a child need beyond one each: more
+        # after every child, and one after child a = 0 (unit_a), b = 0
+        # (unit_b) or a child whose code passes (pa, pb)
+        more = unit_a = unit_b = 0
+        pa = pb = K  # no label passes
         if last:
             # a reversal pivoted at s < t that reads the prefix back next reads
             # the last diameter where the identity reads c_{s+1}: f_t after
@@ -592,18 +621,28 @@ def run_shard(
                     r1 = codes[s + 1]
             if codes[t - 1] == d0c and cpiv[t - 1]:
                 flip = True
-        elif adj == 1 and not av[0]:
-            # b_{n-1} precedes a_0 = 0, so b_{n-1} >= 1.  With one unit each,
-            # the r >= 1 diameters after a child alternate sides from the one
-            # opposite the child's zero label, and end on the back only when
-            # r is even after a = 0 and odd after b = 0 (module docstring).
-            # That least mass does not fall as r grows, so the least open
-            # count decides for every count
+        elif not av[0]:
+            # the least mass of the r >= 1 diameters after a child, at the
+            # least open count: it does not fall as r grows (module docstring)
             r = lo - t - 1
-            if r % 2:
-                unit_a = 1
+            if bv[0] > 1:
+                more = r  # every code and flipped code >= c_0 = (0, b_0)
+            elif frot[t - 1] < 0:
+                more = 1  # the last diameter is not c_0, and b_{n-1} >= 1
             else:
-                unit_b = 1
+                if not frot[t - 1]:
+                    # a child with c_t > f_{t-1} decides that it is not
+                    pa, pb = divmod(fcodes[t - 1], K)
+                if adj == 1:
+                    # b_{n-1} precedes a_0 = 0, so b_{n-1} >= 1.  With one
+                    # unit each, the diameters after a child alternate
+                    # sides from the one opposite the child's zero label,
+                    # and end on the back only when r is even after a = 0
+                    # and odd after b = 0
+                    if r % 2:
+                        unit_a = 1
+                    else:
+                        unit_b = 1
 
         # reversal pivoted at t, plain and pair-flipped, restricted to the
         # assigned prefix: the first strict difference decides
@@ -638,9 +677,15 @@ def run_shard(
         # widest at the least open count, so the per-a floor and the front
         # label break, taken there, hold for every open count.
         for a in range(a_lo if a_lo > ra1 else ra1, a_top + 1):
-            room = top - a - lo - (unit_a if a == 0 else 0)
-            if room < unit_b:
-                break  # at room 0 only b = 0 fits, and then it needs the unit
+            room = top - a - lo - more
+            edge = 0  # the child b = room needs one unit more
+            if not more:
+                if a > pa or a == 0 and unit_a:
+                    room -= 1
+                elif room == 0 and unit_b or a == pa and room > pb:
+                    edge = 1
+            if room < 0:
+                break
             b_lo = b_base
             if a == 0 and b_lo == 0:
                 b_lo = 1  # no dead diameters
@@ -654,7 +699,7 @@ def run_shard(
                 b_lo = ra2 + 1
             if flip and a > b_lo:
                 b_lo = a
-            b_cap = b_top if b_top < room else room
+            b_cap = b_top if b_top < room - edge else room - edge
             if b_lo > b_cap:
                 continue
             f_a = f_run + a * xa  # a closes front-front-back triangles
@@ -691,20 +736,12 @@ def run_shard(
                 if code == d0c:
                     if rv0 < 0:
                         continue
-                    if last:
+                    if last and frot[t - 1] < 0:
                         # the rotation from c_t = c_0 on reads f_0, f_1, ...
                         # where the identity reads c_1, c_2, ...; past the
                         # prefix it reads f_{t-1} >= c_0 = c_t first, so only
                         # the prefix can put it below the identity
-                        below = False
-                        for s in range(1, t):
-                            x = fcodes[s - 1]
-                            y = codes[s]
-                            if x != y:
-                                below = x < y
-                                break
-                        if below:
-                            continue
+                        continue
                 if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fcodes[0] < code)):
                     continue
                 f_child = f_a + a * b + b * xb
@@ -767,6 +804,7 @@ def run_shard(
                 if fcode == d0c:
                     nlive1.append(t)
                     fpiv[t] = rv1 == 0 and fcodes[0] == code
+                frot[t] = frot[t - 1] or fcodes[t - 1] - code
 
                 dfs(
                     t + 1,
@@ -814,6 +852,8 @@ def run_shard(
                 live1.append(t)
             cpiv[t] = all(codes[t - i] == codes[i] for i in range(t + 1))
             fpiv[t] = all(fcodes[t - i] == codes[i] for i in range(t + 1))
+            if t:
+                frot[t] = frot[t - 1] or fcodes[t - 1] - code
         dfs(depth, n, n_last, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1)
         return ShardResult(n, first_a, leaves, nodes, len(leaves))
 
@@ -822,6 +862,8 @@ def run_shard(
     for b0 in range(a0 if a0 > 0 else 1, label_cap + 1):
         # every later diameter carries mass
         hi = sum_cap - a0 - b0 + 1
+        if not a0 and b0 > 1:
+            hi = 1 + (sum_cap - b0) // 2  # two units each
         if hi < n:
             break
         if hi > n_last:

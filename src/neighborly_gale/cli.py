@@ -1,6 +1,7 @@
 """Command-line interface: search, count, validate, bound, construct, verify.
 
 Exit codes: 0 success, 1 assertion or verification failure, 2 usage error.
+A reader that closes stdout early (``| head``) ends the command with 0.
 """
 from __future__ import annotations
 
@@ -328,6 +329,13 @@ def main(argv: list[str] | None = None) -> int:
     except DiagramError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_FAILED
+    except BrokenPipeError:
+        # the reader took what it wanted; point stdout at the null device so
+        # that the flush at exit does not hit the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Command-line surface: outputs, round-trips, and exit codes."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import neighborly_gale
 from neighborly_gale.cli import main
 from neighborly_gale.diagram import GaleDiagram
 
@@ -211,6 +215,29 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(target) in err
+
+    def test_closed_pipe_ends_quietly(self):
+        # `enumerate ... | head -1`: the reader closes the pipe after one
+        # line of a long stream, and the command stops with exit code 0 and
+        # nothing on stderr, not even from the flush at exit
+        src = os.path.dirname(os.path.dirname(neighborly_gale.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "neighborly_gale.cli", "enumerate", "--k", "3",
+             "--prune", "marcus"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)  # raises while the process still runs
+        finally:
+            proc.kill()  # a no-op once it has exited
+            proc.wait()
+        GaleDiagram.from_json(json.loads(first))
+        assert err == b""
+        assert code == 0
 
 
 class TestVerify:

@@ -424,27 +424,62 @@ def _is_leaf(labels, k, level, sum_cap):
     return level == "marcus" or is_minimal_cycle(labels, k)
 
 
+def _reads_below(path):
+    """Does f_0, f_1, ... read below c_1, c_2, ... on the diameters of ``path``?
+
+    Then the rotation that starts at a last diameter equal to c_0 beats the
+    identity, so no canonical completion of the path ends with c_0.
+    """
+    t = len(path) // 2
+    pairs = list(zip(path[:t], path[t:]))
+    return [(b, a) for a, b in pairs[:-1]] < pairs[1:]
+
+
 @cache
-def _least_completion_mass(a0, a, b, r):
-    """Least mass of r diameters after a child (a, b) that meets P2 and P3.
+def _least_completion_mass(a0, b0, a, b, r, below):
+    """Least mass of r diameters after a child (a, b) that meets P2, P3 and the code floors.
 
     The first diameter is (a0, b0) with b0 >= 1, which settles the pair
-    a_{n-1}, b_0.  Labels of 0 and 1 suffice: lowering a positive label to
-    1 keeps every sum that P2 and P3 ask to be >= 1.
+    a_{n-1}, b_0.  With a0 = 0, every diameter's code and flipped code is
+    at least c_0 = (0, b0), and when ``below`` the last diameter is not
+    c_0.  With a0 >= 1 the floors are left out, as the search does not
+    charge them.  Labels of 0 and 1 suffice: lowering a positive label to
+    1 keeps every sum that P2 and P3 ask to be >= 1, and a diameter that
+    this would take below a floor, or to a barred c_0, can be (1, 1)
+    instead, which is no heavier.
     """
     least = None
     for tail in product((0, 1), repeat=2 * r):
         front = (a,) + tail[:r]
         back = (b,) + tail[r:] + (a0,)  # b_{n-1} precedes a_0
-        if any(tail[i] + tail[r + i] == 0 for i in range(r)):
+        pairs = list(zip(tail[:r], tail[r:]))
+        if any(x + y == 0 for x, y in pairs):
             continue  # a dead diameter
         if any(front[i] + front[i + 1] == 0 for i in range(r)):
             continue
         if any(back[i] + back[i + 1] == 0 for i in range(r + 1)):
             continue
+        if not a0 and any(min(pair, pair[::-1]) < (0, b0) for pair in pairs):
+            continue  # a rotation from this code or its flip beats the identity
+        if not a0 and below and pairs[-1] == (0, b0):
+            continue
         if least is None or sum(tail) < least:
             least = sum(tail)
     return least
+
+
+def _completions(r, mass, cap):
+    """Every r diameters of labels <= cap and total mass <= ``mass``, none dead.
+
+    Yields (front labels, back labels).
+    """
+    if r == 0:
+        yield (), ()
+        return
+    for a in range(min(cap, mass - r + 1) + 1):
+        for b in range(0 if a else 1, min(cap, mass - r + 1 - a) + 1):
+            for front, back in _completions(r - 1, mass - a - b, cap):
+                yield (a,) + front, (b,) + back
 
 
 class TestLastDiameterCuts:
@@ -474,11 +509,11 @@ class TestLastDiameterCuts:
 
     @pytest.mark.parametrize("k,level,sum_cap", [w for w in WALKED if w[1] != "extremal"])
     def test_p3_unit_drops_only_children_without_a_completion(self, k, level, sum_cap):
-        # with a_0 = 0, P3 across the half boundary may cost the diameters
-        # after a child one unit more than one per diameter.  Against the
-        # same node under a sum cap that binds nothing, the node keeps
-        # exactly the children whose least completion that meets P2 and P3
-        # fits the sum cap, unless its deficits cut it whole
+        # with a_0 = 0, P3 across the half boundary and the code floors may
+        # cost the diameters after a child more than one unit each.  Against
+        # the same node under a sum cap that binds nothing, the node keeps
+        # exactly the children whose least completion that meets P2, P3 and
+        # the code floors fits the sum cap, unless its deficits cut it whole
         p = k + 1
         checked = 0
         for args, shard, children in _walk(k, level, sum_cap):
@@ -494,11 +529,47 @@ class TestLastDiameterCuts:
             if max(p - sa + mf, 0) + max(p - sb + mb, 0) > sum_cap - s:
                 assert children == [], args
                 continue
-            least = [sum(c) + _least_completion_mass(first, c[t], c[-1], r) for c in free]
+            least = [
+                sum(c) + _least_completion_mass(first, c[t + 1], c[t], c[-1], r, _reads_below(c))
+                for c in free
+            ]
             assert children == [c for c, m in zip(free, least) if m <= sum_cap], args
             # children that one unit per diameter would have kept
             checked += sum(sum(c) + r <= sum_cap < m for c, m in zip(free, least))
         assert checked > 5
+
+    @pytest.mark.parametrize("k,level,sum_cap", WALKED)
+    def test_least_mass_drops_only_children_without_a_leaf(self, k, level, sum_cap):
+        # a child that one unit per open diameter would keep, but that the
+        # node drops under the sum cap, has no leaf of the space below it:
+        # no completion within the cap is a canonical leaf.  The dropped
+        # children include ones of a_0 = 0, b_0 = 2 shards, where every open
+        # diameter carries two units, and ones with b_0 = 1 whose prefix
+        # reads f_0 < c_1, so that the last diameter is not c_0
+        two = below = 0
+        for args, _, children in _walk(k, level, sum_cap):
+            n, first, cap, path = args[1], args[2], args[5], args[8]
+            u = len(path) // 2 + 1  # the diameters of a child
+            r = n - u
+            if r < 1 or r > 4:
+                continue
+            opened = []
+            run_shard(k, n, first, level, 1000, cap, None, n, path, 0, opened)
+            for c in [piece[-1] for piece in opened]:
+                if c in children or sum(c) + r > sum_cap:
+                    continue
+                front, back = c[:u], c[u:]
+                for tail_front, tail_back in _completions(r, sum_cap - sum(c), cap):
+                    labels = front + tail_front + back + tail_back
+                    assert not (
+                        is_pair_canonical(pair_cycle(labels, cap + 1))
+                        and _is_leaf(labels, k, level, sum_cap)
+                    ), (args, labels)
+                if not first:
+                    two += back[0] == 2
+                    # f_0 = (b_0, a_0) = (1, 0)
+                    below += back[0] == 1 and u > 1 and (1, 0) < (front[1], back[1])
+        assert two > 0 and below > 0
 
 
 class TestEnumerate:
@@ -685,13 +756,21 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,sum_cap,ceiling",
         [
-            ("minimal", 2, 15, 6800),
-            ("minimal", 3, None, 55666),
-            ("extremal", 2, None, 273),
-            ("extremal", 3, None, 1543),
-            ("extremal", 4, None, 10604),
+            ("marcus", 2, 15, 231119),
+            ("minimal", 2, 15, 5680),
+            ("minimal", 3, None, 44991),
+            ("extremal", 2, None, 260),
+            ("extremal", 3, None, 1523),
+            ("extremal", 4, None, 10576),
         ],
-        ids=["minimal-k2-cap15", "minimal-k3", "extremal-k2", "extremal-k3", "extremal-k4"],
+        ids=[
+            "marcus-k2-cap15",
+            "minimal-k2-cap15",
+            "minimal-k3",
+            "extremal-k2",
+            "extremal-k3",
+            "extremal-k4",
+        ],
     )
     def test_stream_node_ceiling(self, level, k, sum_cap, ceiling):
         config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
@@ -905,7 +984,7 @@ class TestBoundCut:
         if level == "marcus":
             # the unbounded space: its leaves are fixed, and stronger cuts
             # may lower its node count but never raise it
-            leaves, ceiling = {2: (5051, 19779), 3: (315720, 1104654)}[k]
+            leaves, ceiling = {2: (5051, 12727), 3: (315720, 717753)}[k]
             assert sum(full.evaluated for _, full in unbounded) == leaves
             assert sum(full.nodes for _, full in unbounded) <= ceiling
         for args, full in unbounded:
