@@ -123,11 +123,11 @@ code, or flipped code, is c_0.  (Sawada's bracelet generation keeps the
 same reversal comparison running as the prefix grows: "Generating
 bracelets in constant amortized time", SIAM J. Comput. 31(1), 2001.)
 Likewise, when the last diameter's code is c_0, the rotation that starts
-there reads f_0, f_1, ... where the identity reads c_1, c_2, ...; past the
-prefix it reads f_{n-2} >= c_0 = c_{n-1}, the floor of the rotation from
-f_{n-2}, so only the prefix can put it below the identity, and a child
-that it puts there is skipped.  The search keeps that comparison per
-depth: the first difference of f_0..f_{u-1} against c_1..c_u, or 0.
+there reads f_0, f_1, ... where the identity reads c_1, c_2, ..., which
+the search compares per depth (the first difference, or 0).  Only the
+prefix can put it below, and then the pivot floors drop that diameter: up
+to the first difference, at c_s, c_j alternates c_0, f_0, ..., so the
+c-pivot (odd s) or f-pivot (even s) at s - 1 floors it above c_0.
 
 A child's room charges its r >= 1 open diameters their least mass, which
 with a_0 = 0 exceeds one unit each in three ways.  Every diameter's code
@@ -146,35 +146,40 @@ with b_{n-1} >= 1, it carries two units: r + 1 again.  A last diameter
 (1, 1) pays both units at once, so the charges combine as a maximum: 2r
 when b_0 >= 2, else r + 1 when either unit is due, else r.  None of them
 falls as r grows, so the room at the node's least open count decides
-every count, and the same least masses lower a node's largest open count
-and the root's.  P3's unit is charged where adjacent positions need mass
-1, not at ``extremal``; the code floors and b_{n-1} >= 1 hold at every
-level.
+every count, and the same least masses lower the root's largest count.
+P3's unit is charged where adjacent positions need mass 1, not at
+``extremal``; the code floors and b_{n-1} >= 1 hold at every level.
 
 One shard searches a run of diameter counts n..n_last as one tree.  A
 prefix of t diameters is one node for every count above t that can still
-complete it, and the node carries the least and the largest such count,
-lo and hi.  Each test that depends on the count narrows that range where
-the single-count search would return, in the direction its monotonicity
-allows.  The deficits need at most ``label_cap`` per side on each of the
-n - t open diameters, which raises lo.  Every later diameter carries mass
-within the sum cap, which lowers hi, and so does each child's room.  For
-a child with r = n - t - 1 diameters after it, the deficits must fit into
-its mass cap min(room, 2 label_cap r), which raises the child's lo.
-``gap_floor`` does not fall as r grows when the child's xa and xb are
-both >= 1, which lowers the child's hi; otherwise it falls with that mass
-cap, which does not fall as r grows, and so it raises the child's lo
-(``floor_rests`` gives both ends).  A node whose lo is t + 1 drops that
-count when one of the two semicircles that avoid its diameter t, which sum
-sa and sb, is below p; otherwise it first searches that count alone, where this
-diameter is the last and has its own floors, then the counts above it.  ``front_floor``'s h does not depend
-on the count, and a front label's b range is widest at the least open
-count, so the per-a skip and the front label break, taken there, hold at
-every open count.  The b loop ends at a cut at or past b_star only when
-the floor cut every open count: past b_star the floor rises with the
-count and never falls with b.  A count that the deficit test alone
-dropped may come back at a later b, which lowers dbr, so that cut never
-ends the loop.  A leaf of any count lowers the bound for all of them.
+complete it, and the node carries the least and the largest such count, lo
+and hi.  Each test that depends on the count narrows that range where the
+single-count search would return, in the direction its monotonicity
+allows.  For a child with r = n - t - 1 diameters after it, ``gap_floor``
+does not fall as r grows when the child's xa and xb are both >= 1, which
+lowers the child's hi; otherwise it falls with the child's mass cap
+min(room, 2 label_cap r), which does not fall as r grows, and so it raises
+the child's lo (``floor_rests`` gives both ends).  A node whose lo is t + 1
+drops that count when one of the two semicircles that avoid its diameter
+t, which sum sa and sb, is below p; otherwise it first searches that count
+alone, where this diameter is the last and has its own floors, then the
+counts above it.  ``front_floor``'s h does not depend on the count, and a
+front label's b range is widest at the least open count, so the per-a skip
+and the front label break, taken there, hold at every open count.  The b
+loop ends at a cut at or past b_star only when the floor cut every open
+count and the deficits fit at lo: past b_star the floor rises with the
+count and never falls with b.  A count that the deficits alone rule out may
+come back at a later b, which lowers dbr, so that cut never ends the
+loop.  A leaf of any count lowers the bound for all of them.  The deficits
+never raise lo: under the search's label caps they fit the open diameters
+at every count.  No deficit exceeds p, the cap at ``marcus`` and
+``minimal``; at ``extremal`` adjacent labels of a half sum to at least 2,
+so T diameters leave T - 3 in each semicircle, T - 2 for even T, which
+fits the caps k + 4 - n (odd n) and k + 5 - n (even n).  So ``fit`` never
+passes lo and serves only the b loop's end at smaller caps.  Nor does a
+node clip hi: a count past its sum cap and least masses leaves no child
+room past its floors, and ``floor_rests`` keeps every child's lo within
+them.
 
 A shard can start below the root and stop early, which splits one tree
 into pieces.  A path of diameters names a node; the running sums that the
@@ -437,12 +442,9 @@ def run_shard(
     # entry is read
     cpiv = [True] + [False] * (n_last - 1)  # pivot 0 always reads c_0 back
     fpiv = [False] * n_last
-    # the rotation from a last diameter equal to c_0 reads f_0, f_1, ...
-    # where the identity reads c_1, c_2, ...: frot[u] is the first
-    # difference f_{s-1} - c_s over s <= u, or 0, so its sign says whether
-    # f_0..f_{u-1} reads below, like or above c_1..c_u.  The search writes
-    # it with every child it recurses into, the path rebuild for every path
-    # diameter, and depth t reads frot[t - 1], set on its own path
+    # frot[u], the first difference f_{s-1} - c_s over s <= u or 0, says whether
+    # f_0..f_{u-1} reads below, like or above c_1..c_u.  Written with every child
+    # recursed into and by the path rebuild, so depth t reads its own frot[t - 1]
     frot = [0] * n_last
 
     best = bound
@@ -534,14 +536,9 @@ def run_shard(
                         break  # no label before i passes either test
                     x -= a - b
 
-        # worst semicircle deficits; front deficits can only be paid with
-        # future front labels and back deficits with future back labels, at
-        # most label_cap on each of the n - t open diameters
+        # worst semicircle deficits, which only later front (back) labels pay
         d_front = p - sa + mf
         d_back = p - sb + mb
-        d_max = d_front if d_front > d_back else d_back
-        if d_max > (lo - t) * label_cap:
-            lo = t - (-d_max // label_cap)
         df = d_front if d_front > 0 else 0
         db = d_back if d_back > 0 else 0
         if df + db > sum_cap - s_run:
@@ -559,20 +556,9 @@ def run_shard(
         # a_t follows a_{t-1} and b_t follows b_{t-1} around the polygon
         a_lo = adj - av[t - 1] if av[t - 1] < adj else 0
         b_base = adj - bv[t - 1] if bv[t - 1] < adj else 0
-        # this diameter carries at least a_lo and at least 1, every later one
-        # at least 1: child (a, b) leaves room for the counts up to top - a - b
+        # every later diameter carries at least 1: child (a, b) leaves room
+        # for the counts up to top - a - b; hi needs no clip (module docstring)
         top = sum_cap + t + 1 - s_run
-        cap = top - (a_lo or 1)
-        if not av[0]:
-            # the open diameters' least mass (module docstring): two units
-            # each, or one more on the last diameter
-            if bv[0] > 1:
-                if cap > t + (sum_cap - s_run) // 2:
-                    cap = t + (sum_cap - s_run) // 2
-            elif frot[t - 1] < 0 and cap > top - 2:
-                cap = top - 2
-        if hi > cap:
-            hi = cap
         if lo > hi:
             return
         last = lo == t + 1  # then hi == lo: this diameter is the last
@@ -583,11 +569,10 @@ def run_shard(
                 a_lo = d_front
             if d_back > b_base:
                 b_base = d_back
-            # a_{n-1} precedes b_0 and b_{n-1} precedes a_0 across the half boundary
+            # a_{n-1} precedes b_0 across the half boundary; b_{n-1} precedes a_0
+            # and the c-pivot at 0 floors it at a_1 >= adj - a_0 (n = 2: flip)
             if adj - bv[0] > a_lo:
                 a_lo = adj - bv[0]
-            if adj - av[0] > b_base:
-                b_base = adj - av[0]
 
         # lexicographic floors from rotations still tied with the identity
         r1 = d0c
@@ -686,9 +671,8 @@ def run_shard(
                     edge = 1
             if room < 0:
                 break
+            # r1 >= c_0, so a = 0 only with ra1 = 0 and b >= rb1 >= b_0 >= 1
             b_lo = b_base
-            if a == 0 and b_lo == 0:
-                b_lo = 1  # no dead diameters
             if a == ra1 and rb1 > b_lo:
                 b_lo = rb1
             # flipped pair (b, a) must not drop below r2
@@ -733,15 +717,8 @@ def run_shard(
             for b in range(b_lo, b_cap + 1):
                 code = a * K + b
                 fcode = b * K + a
-                if code == d0c:
-                    if rv0 < 0:
-                        continue
-                    if last and frot[t - 1] < 0:
-                        # the rotation from c_t = c_0 on reads f_0, f_1, ...
-                        # where the identity reads c_1, c_2, ...; past the
-                        # prefix it reads f_{t-1} >= c_0 = c_t first, so only
-                        # the prefix can put it below the identity
-                        continue
+                if code == d0c and rv0 < 0:
+                    continue
                 if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fcodes[0] < code)):
                     continue
                 f_child = f_a + a * b + b * xb
@@ -760,8 +737,6 @@ def run_shard(
                         f_child, s_child, nxa, nxb, dfr, dbr, fut, two_cap, best
                     )
                     c_lo = t + 1 + r_lo
-                    if c_lo < fit:
-                        c_lo = fit
                     if c_lo < lo:
                         c_lo = lo
                     c_hi = t + 1 + r_hi

@@ -26,7 +26,11 @@ class FVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
+        # exact types: a float would be truncated and a bool is an int subclass
+        if type(self.d) is not int or not set(map(type, entries)) <= {int}:
+            raise ParameterError("dimension and face counts must be integers")
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
         if len(self.entries) != self.d + 1:

@@ -1,7 +1,9 @@
 """Command-line interface: search, count, validate, bound, construct, verify.
 
 Exit codes: 0 success, 1 assertion or verification failure, 2 usage error.
-A reader that closes stdout early (``| head``) ends the command with 0.
+A reader that closes stdout early (``| head``) ends the command with 0.  A
+write that fails otherwise, as on a full disk, ends it with one ``error:``
+line on stderr and exit code 1.
 """
 from __future__ import annotations
 
@@ -309,7 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) is None:  # delta3 or verify without --jobs
             args.jobs = _default_jobs()
-        return _HANDLERS[args.command](args, sys.stdout)
+        code = _HANDLERS[args.command](args, sys.stdout)
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
+        return code
     except CounterexampleError as exc:
         sys.stderr.write(
             "conjecture counterexample: "
@@ -329,13 +333,17 @@ def main(argv: list[str] | None = None) -> int:
     except DiagramError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_FAILED
-    except BrokenPipeError:
-        # the reader took what it wanted; point stdout at the null device so
-        # that the flush at exit does not hit the closed pipe again
+    except OSError as exc:
+        # the reader closed the pipe, having taken what it wanted, or a write
+        # failed (a full disk): point stdout at the null device so that the
+        # flush at exit does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        sys.stderr.write(f"error: {exc}\n")
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ class VFPair:
     facets: int
 
     def __post_init__(self):
+        # exact types: a float would pass the checks and a bool is an int subclass
+        if any(type(v) is not int for v in (self.d, self.vertices, self.facets)):
+            raise ParameterError("dimension, vertices and facets must be integers")
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
         if self.vertices < self.d + 1:

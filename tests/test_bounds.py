@@ -230,6 +230,20 @@ class TestEuler:
         with pytest.raises(ParameterError):
             FVector(3, (1, 4, 6))
 
+    @pytest.mark.parametrize(
+        "d,entries",
+        [
+            (2, (1, 3.9, 3)),  # would be truncated to (1, 3, 3)
+            (2, (1, "4", 4)),
+            (2, (1, True, 3)),
+            (2.0, (1, 3, 3)),
+            (True, (1, 2)),
+        ],
+    )
+    def test_fvector_rejects_non_integers(self, d, entries):
+        with pytest.raises(ParameterError):
+            FVector(d=d, entries=entries)
+
 
 class TestRegistry:
     def test_known_names(self):

@@ -240,6 +240,34 @@ class TestEnumerate:
         assert code == 0
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (["delta3", "--k", "2"], "/dev/full"),
+            (["verify", "--kmax", "2"], "/dev/full"),
+            (["enumerate", "--k", "2", "--limit", "3"], "/dev/full"),
+            (["delta3", "--k", "2", "--out", "/dev/full"], os.devnull),
+        ],
+        ids=["delta3", "verify", "enumerate", "delta3-out"],
+    )
+    def test_full_device_is_one_error_line(self, argv, out):
+        src = os.path.dirname(os.path.dirname(neighborly_gale.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with open(out, "w") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "neighborly_gale.cli", *argv],
+                stdout=sink, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "No space left on device" in err
+
+
 class TestVerify:
     def test_through_k3(self, capsys):
         code, out, _ = run(capsys, "verify", "--kmax", "3")

@@ -34,6 +34,14 @@ class TestVFPair:
         with pytest.raises(ParameterError):
             VFPair(4, 6, 4)
 
+    @pytest.mark.parametrize(
+        "d,vertices,facets",
+        [(1.5, 3, 3), (2.0, 4, 4), (2, 4.0, 4), (2, 4, "4"), (True, 2, 2), (3, 4, 4.0)],
+    )
+    def test_rejects_non_integers(self, d, vertices, facets):
+        with pytest.raises(ParameterError):
+            VFPair(d=d, vertices=vertices, facets=facets)
+
     def test_json(self):
         assert VFPair(4, 6, 9).to_json() == {"d": 4, "vertices": 6, "facets": 9}
 

@@ -762,6 +762,7 @@ class TestFindDelta3:
             ("extremal", 2, None, 260),
             ("extremal", 3, None, 1523),
             ("extremal", 4, None, 10576),
+            ("extremal", 5, None, 69908),
         ],
         ids=[
             "marcus-k2-cap15",
@@ -770,6 +771,7 @@ class TestFindDelta3:
             "extremal-k2",
             "extremal-k3",
             "extremal-k4",
+            "extremal-k5",
         ],
     )
     def test_stream_node_ceiling(self, level, k, sum_cap, ceiling):
@@ -1090,6 +1092,35 @@ class TestRunShards:
         assert {leaf for leaf in run.leaves if leaf[1] - leaf[2] <= final} == {
             leaf for leaf in every if leaf[1] - leaf[2] <= final
         }
+
+    @pytest.mark.parametrize(
+        "level,k,sum_cap,counts",
+        [
+            ("marcus", 2, 7, {None: (30, 1), 7: (15, 1)}),
+            ("marcus", 2, 9, {None: (353, 85), 7: (67, 3)}),
+            ("marcus", 3, 9, {None: (67, 1), 18: (20, 0)}),
+            ("marcus", 3, 12, {None: (6180, 1765), 18: (199, 3)}),
+            ("marcus", 4, 11, {None: (128, 1), 33: (26, 0)}),
+            ("marcus", 4, 15, {None: (125268, 43148), 33: (481, 0)}),
+            ("minimal", 2, 7, {None: (30, 1), 7: (15, 1)}),
+            ("minimal", 2, 9, {None: (275, 24), 7: (67, 3)}),
+            ("minimal", 3, 9, {None: (65, 1), 18: (20, 0)}),
+            ("minimal", 3, 12, {None: (3671, 168), 18: (199, 3)}),
+            ("minimal", 4, 11, {None: (120, 1), 33: (26, 0)}),
+            ("minimal", 4, 15, {None: (51466, 1294), 33: (481, 0)}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_binding_sum_cap_counts(self, level, k, sum_cap, counts):
+        # sum caps 2(k+1)+1 and 3(k+1), without a bound and at delta3 + 3:
+        # the room, the deficits and the code floors end most branches here,
+        # and the nodes and leaves each run searches are pinned exactly
+        assert set(counts) == {None, delta3_closed_form(k) + 3}
+        config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
+        for bound, (nodes, evaluated) in counts.items():
+            runs = [run_shard(*args) for args in _run_args(config, bound)]
+            assert sum(r.nodes for r in runs) == nodes, bound
+            assert sum(r.evaluated for r in runs) == evaluated, bound
 
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     def test_unbounded_run_is_its_counts(self, level):
