@@ -165,27 +165,27 @@ t, which sum sa and sb, is below p; otherwise it first searches that count
 alone, where this diameter is the last and has its own floors, then the
 counts above it.  ``front_floor``'s h does not depend on the count, and a
 front label's b range is widest at the least open count, so the per-a skip
-and the front label break, taken there, hold at every open count.  The b
-loop ends at a cut at or past b_star only when the floor cut every open
-count and the deficits fit at lo: past b_star the floor rises with the
-count and never falls with b.  A count that the deficits alone rule out may
-come back at a later b, which lowers dbr, so that cut never ends the
-loop.  A leaf of any count lowers the bound for all of them.  The deficits
-never raise lo: under the search's label caps they fit the open diameters
-at every count.  No deficit exceeds p, the cap at ``marcus`` and
+and the front label break, taken there, hold at every open count.  A
+child's counts come only from ``floor_rests``, lo and hi, so an empty
+range means the floor cut every open count.  The b loop ends at such a cut
+at or past b_star: from there, at a fixed count, h and T do not fall as b
+grows and fut only falls, so the floor never falls and every later b is
+cut too.  A leaf of any count lowers the bound for all of them.  The
+deficits never raise lo: under the search's label caps they fit the open
+diameters at every count.  No deficit exceeds p, the cap at ``marcus`` and
 ``minimal``; at ``extremal`` adjacent labels of a half sum to at least 2,
 so T diameters leave T - 3 in each semicircle, T - 2 for even T, which
-fits the caps k + 4 - n (odd n) and k + 5 - n (even n).  So ``fit`` never
-passes lo and serves only the b loop's end at smaller caps.  Nor does a
-node clip hi: a count past its sum cap and least masses leaves no child
-room past its floors, and ``floor_rests`` keeps every child's lo within
-them.
+fits the caps k + 4 - n (odd n) and k + 5 - n (even n).  Nor does a node
+clip hi: a count past its sum cap and least masses leaves no child room
+past its floors, and ``floor_rests`` keeps every child's lo within them.
 
 A shard can start below the root and stop early, which splits one tree
 into pieces.  A path of diameters names a node; the running sums that the
 search would pass down to it (cofacets, vertices, masses, triangle counts,
 worst prefix differences and tied rotations) are rebuilt from its labels,
-and the search starts there with the counts the node had open.  The path's
+and the search starts there with the counts the node had open.  The root
+enters each of its first diameters (a_0, b_0) the same way, so every
+subtree starts from one rebuilt state.  The path's
 own nodes are not searched again, so none of them is counted twice, and no
 leaf of a count that ends on the path, which the self-call above evaluates,
 is evaluated twice.  With a node budget, once the shard has counted that
@@ -312,7 +312,10 @@ def front_floor(
     h is convex with its one kink at b = kink (slope - w left of it, slope
     right of it), and T does not fall as b grows: dbr does not rise and
     nxa does not fall.  So no child beats h(b_star) at the least minimiser
-    b_star, and the floor does not fall past b_star.
+    b_star, and the floor does not fall past b_star.  The caller ensures
+    nxb >= 1, so a >= 1 or xb >= 1 (also at a_paid > a below), and
+    slope >= 0: h never falls right of the kink, and b_star is lo, the kink
+    or hi.
 
     Returns (h(b_star), b_star, ends).  ``ends`` says that every child
     (a', b) with a' >= a and lo <= b <= hi has a floor above ``bound``.
@@ -336,9 +339,7 @@ def front_floor(
         dfr = paid
     w = xb + a * sb - 1
     slope = a + xb - 1 + dfr * sa
-    if slope < 0:
-        b = hi
-    elif slope >= w or kink <= lo:
+    if slope >= w or kink <= lo:
         b = lo
     elif kink < hi:
         b = kink
@@ -440,12 +441,8 @@ def run_shard(
     # (flipped code) is codes[0], the path rebuild for every path diameter,
     # and reads it only while codes[s] (fcodes[s]) is codes[0], so no stale
     # entry is read
-    cpiv = [True] + [False] * (n_last - 1)  # pivot 0 always reads c_0 back
+    cpiv = [False] * n_last
     fpiv = [False] * n_last
-    # frot[u], the first difference f_{s-1} - c_s over s <= u or 0, says whether
-    # f_0..f_{u-1} reads below, like or above c_1..c_u.  Written with every child
-    # recursed into and by the path rebuild, so depth t reads its own frot[t - 1]
-    frot = [0] * n_last
 
     best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
@@ -489,6 +486,9 @@ def run_shard(
         mb: int,
         live0: list[int],  # rotations j tied with the identity so far
         live1: list[int],  # rotations j tied after the global pair flip
+        # the first difference f_{s-1} - c_s over s < t, or 0: whether
+        # f_0..f_{t-2} reads below, like or above c_1..c_{t-1}
+        rot: int,
     ) -> None:
         nonlocal nodes
         if lo == t + 1 and (sa < p or sb < p):
@@ -499,7 +499,7 @@ def run_shard(
             # count t + 1 ends with this diameter, and its children are
             # leaves: search it on its own, which counts this node, then the
             # counts above it, which share every child
-            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1)
+            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot)
             lo += 1
         else:
             nodes += 1
@@ -612,10 +612,10 @@ def run_shard(
             r = lo - t - 1
             if bv[0] > 1:
                 more = r  # every code and flipped code >= c_0 = (0, b_0)
-            elif frot[t - 1] < 0:
+            elif rot < 0:
                 more = 1  # the last diameter is not c_0, and b_{n-1} >= 1
             else:
-                if not frot[t - 1]:
+                if not rot:
                     # a child with c_t > f_{t-1} decides that it is not
                     pa, pb = divmod(fcodes[t - 1], K)
                 if adj == 1:
@@ -731,8 +731,6 @@ def run_shard(
                     fut = sum_cap - s_child
                     if need > fut:
                         continue  # the child's deficit test returns at every count
-                    # the open diameters hold the deficits from count fit on
-                    fit = t + 1 - (-need // two_cap)
                     r_lo, r_hi = floor_rests(
                         f_child, s_child, nxa, nxb, dfr, dbr, fut, two_cap, best
                     )
@@ -743,13 +741,10 @@ def run_shard(
                     if c_hi > hi:
                         c_hi = hi
                     if c_lo > c_hi:
-                        # at b >= b_star the floor rises with the count, so
-                        # with the deficits fitting at lo it cut every open
-                        # count; past b_star it never falls and best never
-                        # rises, so every later b is cut too.  A count that
-                        # the deficits alone dropped may come back at a
-                        # later b, which lowers dbr.
-                        if b >= b_star and fit <= lo:
+                        # the floor cut every open count; past b_star it
+                        # never falls with b at any count and best never
+                        # rises, so every later b is cut too
+                        if b >= b_star:
                             break
                         continue
                 av[t] = a
@@ -779,7 +774,6 @@ def run_shard(
                 if fcode == d0c:
                     nlive1.append(t)
                     fpiv[t] = rv1 == 0 and fcodes[0] == code
-                frot[t] = frot[t - 1] or fcodes[t - 1] - code
 
                 dfs(
                     t + 1,
@@ -795,14 +789,17 @@ def run_shard(
                     nmb,
                     nlive0,
                     nlive1,
+                    rot or fcodes[t - 1] - code,
                 )
         av[t] = 0
         bv[t] = 0
         codes[t] = 0
 
-    if path:
-        # the running sums that dfs passes down the path, from its labels
-        s_run = f_run = sa = sb = xa = xb = mf = mb = 0
+    def enter(path: tuple[int, ...], lo: int, hi: int) -> None:
+        # search the subtree of the node that the path leads to, with the
+        # running sums that dfs would pass down to it, rebuilt from its labels
+        depth = len(path) // 2
+        s_run = f_run = sa = sb = xa = xb = mf = mb = rot = 0
         live0: list[int] = []
         live1: list[int] = []
         for t in range(depth):
@@ -825,11 +822,14 @@ def run_shard(
             live1 = [j for j in live1 if codes[t - j] == fcode]
             if fcode == codes[0]:
                 live1.append(t)
-            cpiv[t] = all(codes[t - i] == codes[i] for i in range(t + 1))
-            fpiv[t] = all(fcodes[t - i] == codes[i] for i in range(t + 1))
+            cpiv[t] = codes[t::-1] == codes[: t + 1]
+            fpiv[t] = fcodes[t::-1] == codes[: t + 1]
             if t:
-                frot[t] = frot[t - 1] or fcodes[t - 1] - code
-        dfs(depth, n, n_last, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1)
+                rot = rot or fcodes[t - 1] - code
+        dfs(depth, lo, hi, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot)
+
+    if path:
+        enter(path, n, n_last)
         return ShardResult(n, first_a, leaves, nodes, len(leaves))
 
     # at t = 0 the pair-flipped view forces a_0 <= b_0; the shard fixes a_0
@@ -846,10 +846,5 @@ def run_shard(
         if nodes >= budget:
             opened.append((k, n, a0, level, sum_cap, label_cap, best, hi, (a0, b0)))
             continue
-        av[0] = a0
-        bv[0] = b0
-        codes[0] = a0 * K + b0
-        fcodes[0] = b0 * K + a0
-        fpiv[0] = a0 == b0
-        dfs(1, n, hi, a0 + b0, a0 * b0, a0, b0, 0, 0, a0, b0, [], [0] if a0 == b0 else [])
+        enter((a0, b0), n, hi)
     return ShardResult(n, first_a, leaves, nodes, len(leaves))

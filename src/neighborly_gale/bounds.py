@@ -1,7 +1,8 @@
 """Closed-form facet-count bounds and f-vector utilities.
 
 All arithmetic is exact integer arithmetic; formulas that divide must divide
-exactly and raise otherwise instead of rounding.
+exactly and raise otherwise instead of rounding.  Parameters must be exact
+ints: a float or a bool raises ``ParameterError``.
 """
 from __future__ import annotations
 
@@ -11,8 +12,16 @@ from dataclasses import dataclass
 from .errors import InexactDivisionError, ParameterError
 
 
+def _require_ints(**params) -> None:
+    # exact types: a float gives an inexact value and a bool is an int subclass
+    wrong = [name for name, v in params.items() if type(v) is not int]
+    if wrong:
+        raise ParameterError(f"parameters {wrong} must be integers, got {params}")
+
+
 def binomial(a: int, b: int) -> int:
     """C(a, b) with the convention C(a, b) = 0 for b < 0 or b > a."""
+    _require_ints(a=a, b=b)
     if b < 0 or b > a or a < 0:
         return 0
     return math.comb(a, b)
@@ -66,6 +75,7 @@ class BoundReport:
 
 def simplicial_lbt(d: int, n: int) -> int:
     """Minimum facet count of a simplicial d-polytope with n vertices."""
+    _require_ints(d=d, n=n)
     if d < 2:
         raise ParameterError(f"dimension must be >= 2, got {d}")
     if n < d + 1:
@@ -75,6 +85,7 @@ def simplicial_lbt(d: int, n: int) -> int:
 
 def neighborly_facets(k: int, n: int) -> int:
     """Facet count of a neighborly 2k-polytope with n vertices: n/(n-k) C(n-k, k)."""
+    _require_ints(k=k, n=n)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if n <= 2 * k:
@@ -89,6 +100,7 @@ def neighborly_facets(k: int, n: int) -> int:
 
 def gmatrix_entry(d: int, i: int, j: int) -> int:
     """Entry (i, j) of the g-theorem transfer matrix for dimension d."""
+    _require_ints(d=d, i=i, j=j)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     if not 0 <= i <= d // 2:
@@ -104,6 +116,7 @@ def g_vector_kneighborly(d: int, n: int, k: int) -> tuple[int, ...]:
     g_j = C(n-d-2+j, j); substituting into the g-theorem system reproduces
     f_j = C(n, j+1) for every j < k.
     """
+    _require_ints(d=d, n=n, k=k)
     if not 1 <= k <= d // 2:
         raise ParameterError(f"need 1 <= k <= d/2, got k={k}, d={d}")
     if n < d + 2:
@@ -112,21 +125,21 @@ def g_vector_kneighborly(d: int, n: int, k: int) -> tuple[int, ...]:
 
 
 def fj_lower_bound(d: int, n: int, k: int, j: int) -> int:
-    """Face-count floor for simplicial k-neighborly d-polytopes, any j."""
-    if not 1 <= k <= d // 2:
-        raise ParameterError(f"need 1 <= k <= d/2, got k={k}, d={d}")
-    if n < d + 2:
-        raise ParameterError(f"need n >= d+2 = {d + 2}, got {n}")
+    """Face-count floor for simplicial k-neighborly d-polytopes, any j.
+
+    f_j >= sum over i <= k of M(i, j+1) g_i, with M the transfer matrix
+    ``gmatrix_entry`` and g the k-neighborly g-vector.
+    """
+    _require_ints(d=d, n=n, k=k, j=j)
+    g = g_vector_kneighborly(d, n, k)
     if not 0 <= j <= d - 1:
         raise ParameterError(f"face index {j} outside 0..{d - 1}")
-    return sum(
-        (binomial(d + 1 - i, d - j) - binomial(i, d - j)) * binomial(n - d - 2 + i, i)
-        for i in range(k + 1)
-    )
+    return sum(gmatrix_entry(d, i, j + 1) * g_i for i, g_i in enumerate(g))
 
 
 def smallvert_bound(d: int, k: int) -> int:
     """Facet floor d + 1 + k^2 for k-neighborly d-polytopes that are not simplexes."""
+    _require_ints(d=d, k=k)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if d < 2 * k:
@@ -136,6 +149,7 @@ def smallvert_bound(d: int, k: int) -> int:
 
 def corollary2_bound(d: int, k: int) -> int:
     """Facet floor for simplicial k-neighborly d-polytopes with d+3 vertices."""
+    _require_ints(d=d, k=k)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if d < 2 * k:
@@ -148,6 +162,7 @@ def corollary2_bound(d: int, k: int) -> int:
 
 def d_k(k: int, n: int) -> int:
     """Alternating binomial sum D_k(n) = sum_{i=1..k} (-1)^i C(n, i)."""
+    _require_ints(k=k, n=n)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if n < 2 * k:

@@ -64,7 +64,7 @@ import os
 import time
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from multiprocessing import Pool
 
@@ -153,12 +153,7 @@ class SearchResult:
             "prune_level": self.prune_level,
             "delta3": self.delta3,
             "witnesses": [w.to_json() for w in self.witnesses],
-            "stats": {
-                "nodes": self.stats.nodes,
-                "evaluated": self.stats.evaluated,
-                "wall_time": self.stats.wall_time,
-                "pieces": self.stats.pieces,
-            },
+            "stats": asdict(self.stats),
         }
 
 
@@ -361,11 +356,10 @@ def find_delta3(config: SearchConfig) -> SearchResult:
 def _find_delta3(config: SearchConfig, workers: _Workers) -> SearchResult:
     start = time.monotonic()
     leaves = []
-    nodes = evaluated = pieces = 0
+    nodes = pieces = 0
     for shard in _search(_run_args(config, _seed_gap(config.k, _sum_cap(config))), workers):
         leaves += shard.leaves
         nodes += shard.nodes
-        evaluated += shard.evaluated
         pieces += 1
 
     if not leaves:
@@ -383,7 +377,7 @@ def _find_delta3(config: SearchConfig, workers: _Workers) -> SearchResult:
         found = found[:1]
     stats = SearchStats(
         nodes=nodes,
-        evaluated=evaluated,
+        evaluated=len(leaves),
         wall_time=time.monotonic() - start,
         pieces=pieces,
     )
@@ -445,10 +439,7 @@ def write_results_jsonl(result: SearchResult, stream) -> None:
                 "delta3": result.delta3,
                 "prune_level": result.prune_level,
                 "witness_count": len(result.witnesses),
-                "nodes": result.stats.nodes,
-                "evaluated": result.stats.evaluated,
-                "wall_time": result.stats.wall_time,
-                "pieces": result.stats.pieces,
+                **asdict(result.stats),
             }
         )
         + "\n"

@@ -245,6 +245,40 @@ class TestEuler:
             FVector(d=d, entries=entries)
 
 
+class TestExactInts:
+    # floats and bools gave wrong values or a bare TypeError
+    @pytest.mark.parametrize(
+        "func,args",
+        [
+            (binomial, (2.0, 3)),
+            (binomial, (5, True)),
+            (simplicial_lbt, (4.0, 7)),
+            (simplicial_lbt, (2, 3.5)),
+            (neighborly_facets, (2, 7.0)),
+            (neighborly_facets, (2.0, 7)),
+            (gmatrix_entry, (4, 1.0, 2)),
+            (gmatrix_entry, (4, 1, True)),
+            (g_vector_kneighborly, (4, 7.5, 2)),
+            (g_vector_kneighborly, (4.0, 7, 2)),
+            (fj_lower_bound, (4, 7, 2, 1.0)),
+            (fj_lower_bound, (4, 7, True, 1)),
+            (smallvert_bound, (6, 2.0)),
+            (smallvert_bound, (6.0, 2)),
+            (corollary2_bound, (4.0, 2)),
+            (corollary2_bound, (4, True)),
+            (d_k, (True, 4)),
+            (d_k, (2, 4.0)),
+        ],
+    )
+    def test_rejects_non_integers(self, func, args):
+        with pytest.raises(ParameterError):
+            func(*args)
+
+    def test_registry_rejects_non_integers(self):
+        with pytest.raises(ParameterError):
+            evaluate_bound("lbt", d=4.5, n=7)
+
+
 class TestRegistry:
     def test_known_names(self):
         assert set(BOUND_REGISTRY) == {"lbt", "ubt", "gtheorem", "smallvert", "corollary2"}

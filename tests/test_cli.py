@@ -150,6 +150,14 @@ class TestDelta3:
         assert payload["k"] == 2
         assert payload["delta3"] == 4
 
+    def test_json_key_order(self, capsys):
+        # the schema README documents, key for key and in order
+        code, out, _ = run(capsys, "delta3", "--k", "2", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["k", "prune_level", "delta3", "witnesses", "stats"]
+        assert list(payload["stats"]) == ["nodes", "evaluated", "wall_time", "pieces"]
+
     def test_text_output_lists_witness(self, capsys):
         code, out, _ = run(capsys, "delta3", "--k", "2", "--emit-all")
         assert code == 0

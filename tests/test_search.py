@@ -1068,8 +1068,9 @@ class TestRunShards:
         st.integers(0, 6),
         st.integers(-5, 60),
     )
-    # the deficits alone drop a count at a b past b_star, and a later b
-    # brings it back: the b loop must not end there
+    # label cap 2, where some children's deficits overfill their open
+    # diameters at the least count: the b loop's end must still match, node
+    # for node, the search that tests every child
     @example(3, "marcus", 2, 2, 4, 1, 0, 27)
     def test_run_cuts_only_what_the_child_test_cuts(
         self, k, level, cap_drop, sum_extra, n, more, first, bound
@@ -1497,6 +1498,23 @@ class TestResultSerialization:
         payload = result.to_json()
         assert payload["delta3"] == 4
         assert payload["stats"]["nodes"] == result.stats.nodes
+
+    def test_key_order(self):
+        # the schema README documents, key for key and in order
+        result = find_delta3(SearchConfig(k=2, emit_all=True))
+        payload = result.to_json()
+        assert list(payload) == ["k", "prune_level", "delta3", "witnesses", "stats"]
+        assert list(payload["stats"]) == ["nodes", "evaluated", "wall_time", "pieces"]
+        buffer = io.StringIO()
+        write_results_jsonl(result, buffer)
+        *witness_lines, summary = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        assert witness_lines
+        for line in witness_lines:
+            assert list(line) == ["k", "delta3", "diagram", "cofacets", "vertices"]
+        assert list(summary) == [
+            "k", "delta3", "prune_level", "witness_count",
+            "nodes", "evaluated", "wall_time", "pieces",
+        ]
 
 
 class TestConjectureGuard:
