@@ -73,6 +73,21 @@ class GaleDiagram:
         return cls(n=n, labels=labels, center=center)
 
 
+def _unchecked(n: int, labels: tuple[int, ...], center: int = 0) -> GaleDiagram:
+    """A ``GaleDiagram`` built without ``__post_init__``'s checks.
+
+    Only for labels known to be valid: an image of a validated diagram's
+    labels, or a leaf that the search built.  The result compares and
+    hashes equal to ``GaleDiagram(n, labels, center)``.  Bad input must go
+    through the public constructor, which checks every field.
+    """
+    diagram = object.__new__(GaleDiagram)
+    object.__setattr__(diagram, "n", n)
+    object.__setattr__(diagram, "labels", labels)
+    object.__setattr__(diagram, "center", center)
+    return diagram
+
+
 @dataclass(frozen=True)
 class Cofacet:
     """A facet witness: the center, an antipodal pair, or an origin triangle.
@@ -380,21 +395,27 @@ def least_image(labels: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least image of a label cycle under ``dihedral_orbit``.
 
     The least image starts at a least label, so only the rotations of the
-    cycle and of its reverse that start there compete; ``tuple.index``
-    finds those starts.
+    cycle and of its reverse that start there compete.  ``tuple.index``
+    hops from one such start to the next in the doubled cycle, and each
+    image is compared with the best so far, so the pass holds one image at
+    a time.  This is the form that ``canonical_form`` and
+    ``enumerate_diagrams`` emit.
     """
     two_n = len(labels)
     low = min(labels)
-    images = []
+    best = None
     for cycle in (labels, labels[::-1]):
         doubled = cycle + cycle
-        i = -1
-        for _ in range(cycle.count(low)):
-            i = cycle.index(low, i + 1)
-            images.append(doubled[i : i + two_n])
-    return min(images)
+        i = doubled.index(low)
+        while i < two_n:
+            image = doubled[i : i + two_n]
+            if best is None or image < best:
+                best = image
+            i = doubled.index(low, i + 1)
+    return best
 
 
 def canonical_form(diagram: GaleDiagram) -> GaleDiagram:
     """Lexicographically least label cycle over all rotations and reflections."""
-    return GaleDiagram(diagram.n, least_image(diagram.labels), diagram.center)
+    return _unchecked(diagram.n, least_image(diagram.labels), diagram.center)
+

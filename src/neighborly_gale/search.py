@@ -63,14 +63,14 @@ import math
 import os
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from multiprocessing import Pool
 
 from ._core import ShardResult, run_shard
 from .constructions import build_example1
-from .diagram import GaleDiagram, canonical_form, count_cofacets, least_image
+from .diagram import GaleDiagram, _unchecked, canonical_form, count_cofacets, least_image
 from .errors import ParameterError
 
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
@@ -237,9 +237,19 @@ def enumerate_diagrams(config: SearchConfig):
     very quickly with k at the marcus level; its shards run in process, in
     pieces that yield their leaves in the shard's order.
     """
-    for shard in _search(_shard_args(config, None), _Workers(1)):
+    yield from _classes(_search(_shard_args(config, None), _Workers(1)))
+
+
+def _classes(shards: Iterable[ShardResult]) -> Iterator[GaleDiagram]:
+    """One diagram per leaf of one-count shards, in the leaf's least image.
+
+    The search built each leaf's labels, so the diagram skips the public
+    constructor's checks.
+    """
+    for shard in shards:
+        n = shard.n
         for labels, _, _ in shard.leaves:
-            yield GaleDiagram(shard.n, least_image(labels))
+            yield _unchecked(n, least_image(labels))
 
 
 class _Workers:
@@ -367,7 +377,7 @@ def _find_delta3(config: SearchConfig, workers: _Workers) -> SearchResult:
     best = min(f - v for _, f, v in leaves)
     found = sorted(
         (
-            canonical_form(GaleDiagram(n=len(labels) // 2, labels=labels))
+            canonical_form(_unchecked(len(labels) // 2, labels))
             for labels, f, v in leaves
             if f - v == best
         ),

@@ -25,11 +25,16 @@ from neighborly_gale.diagram import (
     count_cofacets,
     displace,
     is_k_neighborly,
-    least_image,
     semicircle_sums,
 )
 from neighborly_gale.oracle import oracle_count_cofacets
-from neighborly_gale.search import SearchConfig, delta3_closed_form, enumerate_diagrams, find_delta3
+from neighborly_gale.search import (
+    SearchConfig,
+    _classes,
+    delta3_closed_form,
+    enumerate_diagrams,
+    find_delta3,
+)
 
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 
@@ -222,13 +227,9 @@ def test_criterion_8_conjecture_safety(theorem1_sweep, marcus_k3_shards):
     for k in (2, 3):
         for level in PRUNE_LEVELS:
             if (k, level) == (3, "marcus"):
-                # the shared unbounded shards, built into classes exactly as
-                # enumerate_diagrams builds them
-                stream = (
-                    GaleDiagram(shard.n, least_image(labels))
-                    for _, shard in marcus_k3_shards
-                    for labels, _, _ in shard.leaves
-                )
+                # the shared unbounded shards, built into classes by the
+                # stream's own emission path
+                stream = _classes(shard for _, shard in marcus_k3_shards)
             else:
                 stream = enumerate_diagrams(SearchConfig(k=k, prune_level=level))
             for d in stream:

@@ -71,6 +71,34 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             GaleDiagram(n, labels, center=center)
 
+    @pytest.mark.parametrize(
+        "n,labels,center",
+        [
+            (2, (1, 1, 1.0, 1), 0),
+            (2, (1, 1, 1, False), 0),
+            (2, (0, 0, 3, -2), 0),
+            (2, (1, 1, 1, 1), -1),
+            (3, (1, 1, 1, 1), 0),
+            (2, (1, 1, 1, 1, 1), 0),
+            (1, (1, 1), 0),
+            (0, (), 0),
+        ],
+    )
+    def test_both_public_paths_reject(self, n, labels, center):
+        # the constructor and from_json check every field; only the search's
+        # own diagrams skip the checks
+        with pytest.raises(ParameterError):
+            GaleDiagram(n, labels, center=center)
+        with pytest.raises(ParameterError):
+            GaleDiagram.from_json({"n": n, "labels": list(labels), "center": center})
+
+    def test_unchecked_constructor_is_not_exported(self):
+        import neighborly_gale
+
+        assert not hasattr(neighborly_gale, "_unchecked")
+        with pytest.raises(ImportError):
+            from neighborly_gale import _unchecked  # noqa: F401
+
     def test_label_wraparound(self):
         d = GaleDiagram(2, (5, 6, 7, 8))
         assert d.label(4) == 5
@@ -393,6 +421,12 @@ class TestCanonicalForm:
         a = canonical_form(GaleDiagram(3, (1, 2, 3, 1, 2, 3)))
         b = canonical_form(GaleDiagram(3, (3, 2, 1, 3, 2, 1)))
         assert a.labels == b.labels
+
+    def test_keeps_the_center(self):
+        canon = canonical_form(GaleDiagram(3, (1, 2, 0, 1, 2, 0), center=2))
+        public = GaleDiagram(3, (0, 1, 2, 0, 1, 2), center=2)
+        assert canon == public and hash(canon) == hash(public)
+        assert canon.center == 2 and type(canon.labels) is tuple
 
     @given(diagrams(max_n=6, max_label=3))
     def test_orbit_invariance_and_idempotence(self, d):

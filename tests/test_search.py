@@ -596,6 +596,32 @@ class TestEnumerate:
         ]
         assert list(enumerate_diagrams(config)) == expected
 
+    @pytest.mark.parametrize(
+        "k,level,sum_cap",
+        [(2, "marcus", 12), (2, "marcus", 15), (3, "minimal", None), (4, "extremal", None)],
+    )
+    def test_emission_matches_the_definitions(self, monkeypatch, k, level, sum_cap):
+        # every class the stream yields, against the leaf the search made:
+        # the least image by the orbit's definition, and a diagram equal to
+        # the one the public, validating constructor builds
+        leaves = []
+
+        def recording(*args):
+            shard = run_shard(*args)
+            leaves.extend(labels for labels, _, _ in shard.leaves)
+            return shard
+
+        monkeypatch.setattr(search, "run_shard", recording)
+        config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
+        emitted = 0
+        for i, d in enumerate(enumerate_diagrams(config)):
+            assert d.labels == min(dihedral_orbit(leaves[i]))
+            public = GaleDiagram(d.n, d.labels)
+            assert d == public and hash(d) == hash(public)
+            assert type(d.labels) is tuple and type(d.n) is int and d.center == 0
+            emitted += 1
+        assert emitted == len(leaves) > 0
+
     def test_emitted_are_k_neighborly(self):
         for level in ("marcus", "minimal", "extremal"):
             for d in enumerate_diagrams(SearchConfig(k=2, prune_level=level)):
