@@ -18,13 +18,21 @@ The open semicircles also factor per diameter index: the semicircle clockwise
 of position i sums a_{i+1..n-1} + b_{0..i-1}, and its antipodal mate sums
 b_{i+1..n-1} + a_{0..i-1}.
 
-The branch-and-bound cut gives every child (a, b) a floor on the gap of the
-leaves below it, ``gap_floor``.  A later front label unit adds one vertex
-and closes at least xa triangles, xa being the count right after the child,
-since that count only grows; a back unit likewise closes at least xb.  The
-semicircle deficits force some front and back mass, every later diameter
-carries mass, and the sum cap bounds the total, so the cheapest completion,
-each unit charged that least net effect, has a closed form.  For a fixed
+The branch-and-bound cut gives every child (a, b) a floor on the gap
+(cofacets - vertices) of the leaves below it, the gap floor.  A later front
+label unit adds one vertex and closes at least xa triangles, xa being the
+count right after the child, since that count only grows; a back unit
+likewise closes at least xb.  The semicircle deficits force some front and
+back mass, every later diameter carries mass, and the sum cap bounds the
+total, so the cheapest completion, each unit charged that least net effect,
+has a closed form.  With f and s the child's cofacets and vertices, dfr and
+dbr the front and back mass its deficits force, rest its open diameters and
+fut the most mass they may hold, F front and B back units give every leaf
+a gap of at least f - s + F (xa - 1) + B (xb - 1), where F >= dfr,
+B >= dbr and rest <= F + B <= fut.  The least value of that sum is the gap
+floor: f - s + dfr (xa - 1) + dbr (xb - 1), less fut - dfr - dbr when xa
+or xb is 0 (all free mass where a unit is worth -1), and otherwise plus
+max(0, rest - dfr - dbr) (min(xa, xb) - 1), on the cheaper side.  For a fixed
 front label a, when every child has xa >= 1 and xb >= 1, the floor is
 h(b) + T(b).  h is convex and piecewise linear with one kink: affine terms
 plus a maximum of affine terms with a nonnegative weight.  T is a product
@@ -129,6 +137,29 @@ prefix can put it below, and then the pivot floors drop that diameter: up
 to the first difference, at c_s, c_j alternates c_0, f_0, ..., so the
 c-pivot (odd s) or f-pivot (even s) at s - 1 floors it above c_0.
 
+Conversely, a leaf whose last diameter ties no floor is canonical, so the
+leaf runs ``is_pair_canonical`` only on a tied one.  Let r1 and r2 be the
+final floors on the last pair's code and flipped code.  Every rotation
+still tied with the identity, and every f-pivot that reads the prefix
+back, floors the code at r1; every rotation tied after the pair flip, and
+every c-pivot that reads the prefix back, floors the flipped code at r2.
+Each of them reads the last diameter where the identity reads an earlier
+code, so a child with code > r1 and flipped code > r2 reads above the
+identity in each.  The rotation and the two pivots that start at the last
+diameter read its code or flipped code first, where the identity reads
+c_0 <= r1, r2: they read above it, or they start at c_0 and force
+code == r1 or flipped code == r2.  The flip, which stays tied while every
+diameter so far is symmetric, and the pivots at s = n - 2 read all n codes
+of the identity when they tie at the last diameter, so a tie there is an
+equality of whole cycles, not a win.  Every other view read above the
+identity in the prefix, where the search cut each one that read below.  So
+with code > r1 and flipped code > r2 every view of the cycle reads above
+or equal to the identity.  (Necklace and bracelet generators likewise
+decide a leaf from the state kept during generation: Cattell, Ruskey,
+Sawada, Serra, Miers, "Fast algorithms to generate necklaces, unlabeled
+necklaces, and irreducible polynomials over GF(2)", J. Algorithms 37(2),
+2000, and Sawada's bracelets above.)
+
 A child's room charges its r >= 1 open diameters their least mass, which
 with a_0 = 0 exceeds one unit each in three ways.  Every diameter's code
 and flipped code are at least c_0 = (0, b_0), since a smaller one would
@@ -155,7 +186,7 @@ prefix of t diameters is one node for every count above t that can still
 complete it, and the node carries the least and the largest such count, lo
 and hi.  Each test that depends on the count narrows that range where the
 single-count search would return, in the direction its monotonicity
-allows.  For a child with r = n - t - 1 diameters after it, ``gap_floor``
+allows.  For a child with r = n - t - 1 diameters after it, the gap floor
 does not fall as r grows when the child's xa and xb are both >= 1, which
 lowers the child's hi; otherwise it falls with the child's mass cap
 min(room, 2 label_cap r), which does not fall as r grows, and so it raises
@@ -237,43 +268,19 @@ def is_pair_canonical(cycle: list[int]) -> bool:
     return True
 
 
-def gap_floor(
-    f: int, s: int, xa: int, xb: int, dfr: int, dbr: int, rest: int, fut: int
-) -> int:
-    """Floor on the gap (cofacets - vertices) of every leaf below a node.
-
-    ``f`` and ``s`` are the node's cofacets and vertices, ``xa`` and ``xb``
-    the triangles each later front and back label unit closes at least,
-    ``dfr`` and ``dbr`` the front and back mass its semicircle deficits
-    force, ``rest`` its unassigned diameters (each needs mass) and ``fut``
-    the most mass they may hold.  Each of F later front units closes at
-    least xa triangles and adds one vertex, and each of B back units at
-    least xb, so every leaf has gap at least f - s + F (xa - 1) + B (xb - 1)
-    with F >= dfr, B >= dbr and rest <= F + B <= fut.  The floor is the
-    least value of that sum.
-    """
-    floor = f - s + dfr * (xa - 1) + dbr * (xb - 1)
-    if xa == 0 or xb == 0:
-        return floor - (fut - dfr - dbr)  # all free mass where a unit is worth -1
-    short = rest - dfr - dbr
-    if short > 0:
-        floor += short * (xa - 1 if xa < xb else xb - 1)  # on the cheaper side
-    return floor
-
-
 def floor_rests(
     f: int, s: int, xa: int, xb: int, dfr: int, dbr: int, fut: int, two_cap: int, bound: int
 ) -> tuple[int, int]:
-    """Least and largest count r of open diameters at which ``gap_floor`` <= ``bound``.
+    """Least and largest count r of open diameters at which the gap floor <= ``bound``.
 
-    The state is that of ``gap_floor``, with ``fut`` the most mass the
-    child leaves room for: r open diameters need at least r and hold at
-    most min(fut, two_cap r), so r runs over 0..fut and that cap is
-    ``gap_floor``'s fut.  When xa and xb are both >= 1 the floor ignores the
-    cap and does not fall as r grows, so the kept r run from 0 up.
-    Otherwise the floor falls by one per unit of the cap, which does not
-    fall as r grows, so the kept r run up to fut.  An empty range (lo > hi)
-    means no r is kept.
+    The state is that of the gap floor (module docstring), with ``fut`` the
+    most mass the child leaves room for: r open diameters need at least r
+    and hold at most min(fut, two_cap r), so r runs over 0..fut and that
+    cap is the most mass the floor lets them hold.  When xa and xb are both
+    >= 1 the floor ignores the cap and does not fall as r grows, so the
+    kept r run from 0 up.  Otherwise the floor falls by one per unit of the
+    cap, which does not fall as r grows, so the kept r run up to fut.  An
+    empty range (lo > hi) means no r is kept.
     """
     floor = f - s + dfr * (xa - 1) + dbr * (xb - 1)
     if xa == 0 or xb == 0:
@@ -295,13 +302,14 @@ def front_floor(
     f: int, s: int, sa: int, sb: int, xa: int, xb: int, mf: int, mb: int,
     p: int, a: int, lo: int, hi: int, bound: int,
 ) -> tuple[int, int, bool]:
-    """Least convex part h of ``gap_floor`` over the children (a, b), lo <= b <= hi.
+    """Least convex part h of the gap floor over the children (a, b), lo <= b <= hi.
 
-    The node's state is that of ``gap_floor`` before the child: ``f`` and
-    ``s`` its cofacets and vertices, ``sa`` and ``sb`` its front and back
-    masses, ``xa`` and ``xb`` its triangle counts, and p - sa + mf and
-    p - sb + mb its worst front and back deficits, p being k+1.  Where the
-    child's nxa = xa + sa b and nxb = xb + a sb are both >= 1, its floor is
+    The node's state is that of the gap floor (module docstring) before the
+    child: ``f`` and ``s`` its cofacets and vertices, ``sa`` and ``sb`` its
+    front and back masses, ``xa`` and ``xb`` its triangle counts, and
+    p - sa + mf and p - sb + mb its worst front and back deficits, p being
+    k+1.  Where the child's nxa = xa + sa b and nxb = xb + a sb are both
+    >= 1, its floor is
     h(b) + T(b), with w = nxb - 1 and the child's deficits
     dfr = max(p - sa - a + mf, p - sb, 0) and dbr = e0 + max(0, kink - b):
 
@@ -452,17 +460,21 @@ def run_shard(
         # a shorter count of the run: its diameters come first
         return tuple(av + bv) if m == n_last else tuple(av[:m] + bv[:m])
 
-    def leaf(m: int, f_run: int, s_run: int) -> None:
+    def leaf(m: int, f_run: int, s_run: int, tied: bool) -> None:
         nonlocal nodes, best
         nodes += 1
         # the b loop of diameter m-1 calls this with every label of an
         # m-diameter cycle set; adjacency and semicircle mass are already
         # settled by its floors, and minimality and canonicality need the
         # whole cycle.  Most leaves fail a test, so each test builds only
-        # what it reads
+        # what it reads.  A leaf whose last diameter ties no floor (not
+        # ``tied``) has every view of its cycle above or equal to the
+        # identity (module docstring), so only a tied one is checked
         if want_minimal and not is_minimal_cycle(labels_of(m), k):
             return
-        if not is_pair_canonical(codes + fcodes if m == n_last else codes[:m] + fcodes[:m]):
+        if tied and not is_pair_canonical(
+            codes + fcodes if m == n_last else codes[:m] + fcodes[:m]
+        ):
             return
         labels = labels_of(m)
         gap = f_run - s_run
@@ -752,7 +764,7 @@ def run_shard(
                 codes[t] = code
                 fcodes[t] = fcode
                 if last:
-                    leaf(lo, f_child, s_child)
+                    leaf(lo, f_child, s_child, code == r1 or fcode == r2)
                     continue
                 if nodes >= budget:
                     # spent: hand the child's subtree back with its counts
