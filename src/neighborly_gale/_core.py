@@ -125,11 +125,15 @@ s = n - 2 the c-pivot's floor is f_{n-1} >= c_{n-1}, a_{n-1} <= b_{n-1},
 and the f-pivot's is empty.  A child on its floor ties that view once
 more, and the view goes on past the prefix, so a tie always reaches the
 leaf, whose ``is_pair_canonical`` stays the definition: the floors drop
-only children that lose at the code they read.  A tied pivot reads c_0
-first, so the search sets its per-depth flag only with a child whose
-code, or flipped code, is c_0.  (Sawada's bracelet generation keeps the
-same reversal comparison running as the prefix grows: "Generating
-bracelets in constant amortized time", SIAM J. Comput. 31(1), 2001.)
+only children that lose at the code they read.  A view pivoted at s reads
+c_s or f_s first, so it can lose or tie only where that code is c_0: the
+search compares a reversal, as one list comparison, only where a child
+reads c_0, and passes the child whether its two pivots read the prefix
+back.  Their floors on the last diameter run down the DFS as two ints, q1
+on the code and q2 on the flipped code, so a node keeps this state in
+constant time.  (Sawada's bracelet generation keeps the same reversal
+comparison running as the prefix grows: "Generating bracelets in constant
+amortized time", SIAM J. Comput. 31(1), 2001.)
 Likewise, when the last diameter's code is c_0, the rotation that starts
 there reads f_0, f_1, ... where the identity reads c_1, c_2, ..., which
 the search compares per depth (the first difference, or 0).  Only the
@@ -213,11 +217,11 @@ past its floors, and ``floor_rests`` keeps every child's lo within them.
 A shard can start below the root and stop early, which splits one tree
 into pieces.  A path of diameters names a node; the running sums that the
 search would pass down to it (cofacets, vertices, masses, triangle counts,
-worst prefix differences and tied rotations) are rebuilt from its labels,
-and the search starts there with the counts the node had open.  The root
-enters each of its first diameters (a_0, b_0) the same way, so every
-subtree starts from one rebuilt state.  The path's
-own nodes are not searched again, so none of them is counted twice, and no
+worst prefix differences, tied rotations and pivot floors) are rebuilt
+from its labels, and the search starts there with the counts the node had
+open.  The root enters each of its first diameters (a_0, b_0) the same
+way, so every subtree starts from one rebuilt state.  The path's own nodes
+are not searched again, so none of them is counted twice, and no
 leaf of a count that ends on the path, which the self-call above evaluates,
 is evaluated twice.  With a node budget, once the shard has counted that
 many nodes, each child it would recurse into is recorded, with its path,
@@ -443,14 +447,6 @@ def run_shard(
     empty = -1 << 62  # the maximum of no values
     mfs = [empty] * n_last  # the mf and mb of each depth, for the minimality test
     mbs = [empty] * n_last
-    # the reversal pivoted at c_s reads the prefix back, c_s..c_0 = c_0..c_s
-    # (cpiv[s]), or the one pivoted at f_s does, f_s..f_0 = c_0..c_s
-    # (fpiv[s]).  The search writes each only with a child whose code
-    # (flipped code) is codes[0], the path rebuild for every path diameter,
-    # and reads it only while codes[s] (fcodes[s]) is codes[0], so no stale
-    # entry is read
-    cpiv = [False] * n_last
-    fpiv = [False] * n_last
 
     best = bound
     leaves: list[tuple[tuple[int, ...], int, int]] = []
@@ -501,6 +497,12 @@ def run_shard(
         # the first difference f_{s-1} - c_s over s < t, or 0: whether
         # f_0..f_{t-2} reads below, like or above c_1..c_{t-1}
         rot: int,
+        # the most c_{s+1} over s <= t - 2 whose f-pivot (q1, a floor on the
+        # last code) or c-pivot (q2, on its flipped code) reads the prefix back
+        q1: int,
+        q2: int,
+        cp: bool,  # the c-pivot at t - 1 reads it back, c_{t-1}..c_0 = c_0..c_{t-1}
+        fp: bool,  # the f-pivot at t - 1 does, f_{t-1}..f_0 = c_0..c_{t-1}
     ) -> None:
         nonlocal nodes
         if lo == t + 1 and (sa < p or sb < p):
@@ -511,7 +513,8 @@ def run_shard(
             # count t + 1 ends with this diameter, and its children are
             # leaves: search it on its own, which counts this node, then the
             # counts above it, which share every child
-            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot)
+            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot,
+                q1, q2, cp, fp)
             lo += 1
         else:
             nodes += 1
@@ -609,14 +612,14 @@ def run_shard(
         if last:
             # a reversal pivoted at s < t that reads the prefix back next reads
             # the last diameter where the identity reads c_{s+1}: f_t after
-            # c_s..c_0, c_t after f_s..f_0 (module docstring).  At s = t - 1
-            # the c-pivot asks f_t >= c_t, a_t <= b_t, and the f-pivot nothing
-            for s in range(t - 1):
-                if codes[s] == d0c and cpiv[s] and codes[s + 1] > r2:
-                    r2 = codes[s + 1]
-                if fcodes[s] == d0c and fpiv[s] and codes[s + 1] > r1:
-                    r1 = codes[s + 1]
-            if codes[t - 1] == d0c and cpiv[t - 1]:
+            # c_s..c_0, c_t after f_s..f_0 (module docstring).  q1 and q2 hold
+            # those floors for s <= t - 2; at s = t - 1 the c-pivot asks
+            # f_t >= c_t, a_t <= b_t, and the f-pivot nothing
+            if q1 > r1:
+                r1 = q1
+            if q2 > r2:
+                r2 = q2
+            if cp:
                 flip = True
         elif not av[0]:
             # the least mass of the r >= 1 diameters after a child, at the
@@ -640,23 +643,6 @@ def run_shard(
                         unit_a = 1
                     else:
                         unit_b = 1
-
-        # reversal pivoted at t, plain and pair-flipped, restricted to the
-        # assigned prefix: the first strict difference decides
-        rv0 = 0  # -1 view smaller (prune), 0 tied, 1 view bigger
-        for s in range(1, t):
-            x = codes[t - s]
-            y = codes[s]
-            if x != y:
-                rv0 = -1 if x < y else 1
-                break
-        rv1 = 0
-        for s in range(1, t):
-            x = fcodes[t - s]
-            y = codes[s]
-            if x != y:
-                rv1 = -1 if x < y else 1
-                break
 
         ra1, rb1 = divmod(r1, K)
         ra2, rb2 = divmod(r2, K)
@@ -729,10 +715,23 @@ def run_shard(
             for b in range(b_lo, b_cap + 1):
                 code = a * K + b
                 fcode = b * K + a
-                if code == d0c and rv0 < 0:
-                    continue
-                if fcode == d0c and (rv1 < 0 or (rv1 == 0 and fcodes[0] < code)):
-                    continue
+                # the reversals pivoted at t read c_t (f_t) first, so only a
+                # child whose code (flipped code) is c_0 can lose or tie
+                # there, at the first difference of c_{t-1}..c_1 (f_{t-1}..f_0)
+                # from c_1..c_{t-1} (c_1..c_t); rv0 (rv1) says they tie
+                if code == d0c:
+                    view = codes[t - 1 : 0 : -1]
+                    ident = codes[1:t]
+                    if view < ident:
+                        continue
+                    rv0 = view == ident
+                if fcode == d0c:
+                    view = fcodes[t - 1 :: -1]
+                    ident = codes[1:t]
+                    ident.append(code)
+                    if view < ident:
+                        continue
+                    rv1 = view == ident
                 f_child = f_a + a * b + b * xb
                 s_child = s_run + a + b
                 nxa = xa + b * sa
@@ -781,28 +780,16 @@ def run_shard(
                 nlive0 = [j for j in live0 if codes[t - j] == code] if live0 else []
                 if code == d0c:
                     nlive0.append(t)
-                    cpiv[t] = rv0 == 0
                 nlive1 = [j for j in live1 if codes[t - j] == fcode] if live1 else []
                 if fcode == d0c:
                     nlive1.append(t)
-                    fpiv[t] = rv1 == 0 and fcodes[0] == code
-
-                dfs(
-                    t + 1,
-                    c_lo,
-                    c_hi,
-                    s_child,
-                    f_child,
-                    saa,
-                    sbb,
-                    nxa,
-                    nxb,
-                    nmf,
-                    nmb,
-                    nlive0,
-                    nlive1,
-                    rot or fcodes[t - 1] - code,
-                )
+                # the pivots at t - 1 that read the prefix back floor the last
+                # diameter at this child's code; the child's own pivots at t
+                # read it back when they start at c_0 and tie (rv0, rv1)
+                dfs(t + 1, c_lo, c_hi, s_child, f_child, saa, sbb, nxa, nxb, nmf, nmb,
+                    nlive0, nlive1, rot or fcodes[t - 1] - code,
+                    code if fp and code > q1 else q1, code if cp and code > q2 else q2,
+                    code == d0c and rv0, fcode == d0c and rv1)
         av[t] = 0
         bv[t] = 0
         codes[t] = 0
@@ -811,7 +798,8 @@ def run_shard(
         # search the subtree of the node that the path leads to, with the
         # running sums that dfs would pass down to it, rebuilt from its labels
         depth = len(path) // 2
-        s_run = f_run = sa = sb = xa = xb = mf = mb = rot = 0
+        s_run = f_run = sa = sb = xa = xb = mf = mb = rot = q1 = q2 = 0
+        cp = fp = False
         live0: list[int] = []
         live1: list[int] = []
         for t in range(depth):
@@ -834,14 +822,21 @@ def run_shard(
             live1 = [j for j in live1 if codes[t - j] == fcode]
             if fcode == codes[0]:
                 live1.append(t)
-            cpiv[t] = codes[t::-1] == codes[: t + 1]
-            fpiv[t] = fcodes[t::-1] == codes[: t + 1]
+            if cp and code > q2:
+                q2 = code
+            if fp and code > q1:
+                q1 = code
+            cp = codes[t::-1] == codes[: t + 1]
+            fp = fcodes[t::-1] == codes[: t + 1]
             if t:
                 rot = rot or fcodes[t - 1] - code
-        dfs(depth, lo, hi, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot)
+        dfs(depth, lo, hi, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot, q1, q2, cp, fp)
 
     if path:
         enter(path, n, n_last)
+        # dfs reaches itself through its closure: clearing that cell frees the
+        # shard's arrays on return, not at the next cyclic garbage collection
+        dfs = None
         return ShardResult(n, first_a, leaves, nodes, len(leaves))
 
     # at t = 0 the pair-flipped view forces a_0 <= b_0; the shard fixes a_0
@@ -859,4 +854,5 @@ def run_shard(
             opened.append((k, n, a0, level, sum_cap, label_cap, best, hi, (a0, b0)))
             continue
         enter((a0, b0), n, hi)
+    dfs = None  # as above
     return ShardResult(n, first_a, leaves, nodes, len(leaves))

@@ -116,6 +116,8 @@ class SearchConfig:
         optional = [v for v in (self.sum_cap, self.n_max) if v is not None]
         if any(type(v) is not int for v in (self.k, self.jobs, *optional)):
             raise ParameterError(f"k, jobs, sum_cap and n_max must be integers: {self}")
+        if type(self.emit_all) is not bool:
+            raise ParameterError(f"emit_all must be a bool, got {self.emit_all!r}")
         if self.k < 2:
             raise ParameterError(f"k must be >= 2, got {self.k}")
         if self.prune_level not in PRUNE_LEVELS:

@@ -1,5 +1,6 @@
 """Search space enumeration, symmetry breaking, and the gap minimum."""
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -91,6 +92,12 @@ class TestConfig:
         # past the range checks and fail later, or not at all
         with pytest.raises(ParameterError, match="must be integers"):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize("emit_all", ["no", 0, 1, None], ids=["str", "zero", "one", "none"])
+    def test_rejects_non_bool_emit_all(self, emit_all):
+        # any truthy value would keep every witness, "no" included
+        with pytest.raises(ParameterError, match="emit_all must be a bool"):
+            SearchConfig(k=3, emit_all=emit_all)
 
     def test_run_shard_needs_two_diameters(self):
         with pytest.raises(ParameterError):
@@ -1084,6 +1091,21 @@ class TestBoundCut:
 
 
 class TestRunShards:
+    def test_shard_leaves_no_cyclic_garbage(self):
+        # the recursive dfs closure is a reference cycle; run_shard clears it
+        # on return, so a shard's arrays go with the call and add nothing for
+        # the cyclic collector to find, with or without a path
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run_shard(2, 4, 0, "marcus", 12, 3, None)
+            run_shard(2, 4, 0, "marcus", 12, 3, None, 5, (0, 1))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_run_keeps_what_its_counts_keep(self, k, level):
@@ -1411,15 +1433,17 @@ class TestPieces:
 
     @pytest.mark.parametrize(
         "k,level,sum_cap",
-        [(2, level, None) for level in PRUNE_LEVELS] + [(2, "marcus", 10), (3, "minimal", None)],
-        ids=[*PRUNE_LEVELS, "marcus-k2-cap10", "minimal-k3"],
+        [(2, level, None) for level in PRUNE_LEVELS]
+        + [(2, "marcus", 10), (3, "minimal", None), (3, "marcus", 11), (3, "marcus", 12)],
+        ids=[*PRUNE_LEVELS, "marcus-k2-cap10", "minimal-k3", "marcus-k3-cap11", "marcus-k3-cap12"],
     )
     def test_stream_in_pieces_of_one_node(self, k, level, sum_cap, monkeypatch):
         # a piece finishes the leaf loop it is in and hands back the rest of
         # its shard in depth-first order: pieces of one node yield the
         # default stream and search the nodes of the whole shards.  Many
         # pieces start below reversals that read their prefix back, whose
-        # floors at the last diameter come from the path rebuild
+        # floors at the last diameter come from the path rebuild: the rebuilt
+        # pivot floors and flags must equal the running ones at every depth
         config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
         whole = [run_shard(*args) for args in _shard_args(config, None)]
         pieces = []
