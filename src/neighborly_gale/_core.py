@@ -141,6 +141,28 @@ prefix can put it below, and then the pivot floors drop that diameter: up
 to the first difference, at c_s, c_j alternates c_0, f_0, ..., so the
 c-pivot (odd s) or f-pivot (even s) at s - 1 floors it above c_0.
 
+Of the rotations still tied with the identity, the one that starts first
+sets the largest floor, so a node keeps one int per family: p0, the least
+j >= 1 whose rotation reads c_j..c_{t-1} = c_0..c_{t-1-j}, and p1, the
+least j >= 1 whose rotation reads f_j..f_{t-1} = c_0..c_{t-1-j}, each 0
+when there is none.  They floor the code and the flipped code at
+c_{t-p0} and c_{t-p1}, and at c_0 when 0, for the rotation that starts
+at t.  The pair-flipped image without rotation (j = 0), which ties while
+every diameter so far is symmetric, is the flag sym.  Take tied rotations
+j < j' of one family.  From its (j' - j)th code on, rotation j reads what
+rotation j' reads from its start, and both read the identity, so
+c_{j'-j}..c_{t-1-j} = c_0..c_{t-1-j'}: rotation j' - j of the code ties
+through c_{t-1-j}, and the floor it set on c_{t-j}, which the search
+applied there, gives c_{t-j} >= c_{t-j'}.  So a child above the least j's
+floor reads above every tied rotation of that family: all of them end, and
+none starts at t, since c_0 <= c_{t-j}.  A child on the floor keeps the
+least j, or, when none is tied, starts one at t.  The argument needs the
+floors of every earlier depth, so it holds on the prefixes the search
+reaches from the root.  (The necklace generator of Ruskey, Savage and
+Wang keeps the same one int, the prenecklace's least period p, and floors
+the next symbol at a_{t-p}: "Generating necklaces", J. Algorithms 13,
+1992.)
+
 Conversely, a leaf whose last diameter ties no floor is canonical, so the
 leaf runs ``is_pair_canonical`` only on a tied one.  Let r1 and r2 be the
 final floors on the last pair's code and flipped code.  Every rotation
@@ -217,7 +239,7 @@ past its floors, and ``floor_rests`` keeps every child's lo within them.
 A shard can start below the root and stop early, which splits one tree
 into pieces.  A path of diameters names a node; the running sums that the
 search would pass down to it (cofacets, vertices, masses, triangle counts,
-worst prefix differences, tied rotations and pivot floors) are rebuilt
+worst prefix differences, least tied rotations and pivot floors) are rebuilt
 from its labels, and the search starts there with the counts the node had
 open.  The root enters each of its first diameters (a_0, b_0) the same
 way, so every subtree starts from one rebuilt state.  The path's own nodes
@@ -415,7 +437,11 @@ def run_shard(
     a ``budget`` of nodes, every child that the search would recurse into
     once it has counted that many nodes is appended to ``opened`` instead,
     as the ``run_shard`` arguments of its subtree: its path, the counts it
-    has open and the bound it passed its cuts at.  See the module docstring.
+    has open and the bound it passed its cuts at.  The path must name a node
+    that the search reaches from the root, as every piece does: only on
+    such a prefix does the least tied rotation set the largest floor, and
+    only there does the leaf skip exactly the canonicality checks that would
+    pass.  See the module docstring.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -434,10 +460,8 @@ def run_shard(
     want_minimal = level in ("minimal", "extremal")
     adj = 2 if level == "extremal" else 1  # least mass of two adjacent positions
 
-    # at depth t no read goes past diameter t, and diameter t is read once
-    # the b loop has set it, except that r2 reads codes[t] first, as 0
-    # (j = 0 in live1): so each depth resets codes[t], with av[t] and
-    # bv[t], on its way out; the other arrays keep stale entries from t on
+    # at depth t no read goes past diameter t, and diameter t is read only
+    # once the b loop has set it, so the arrays keep stale entries from t on
     av = [0] * n_last  # front labels a_t
     bv = [0] * n_last  # back labels b_t
     codes = [0] * n_last  # (a, b) encoded as a * K + b for fast lexicographic compares
@@ -492,8 +516,12 @@ def run_shard(
         xb: int,  # sum over assigned s of a_s * (back prefix before s)
         mf: int,  # max over i < t of (front prefix through i) - (back prefix before i)
         mb: int,
-        live0: list[int],  # rotations j tied with the identity so far
-        live1: list[int],  # rotations j tied after the global pair flip
+        # the least j >= 1 whose rotation still ties the identity (p0), or
+        # ties it after the pair flip (p1), or 0; the least tied j sets the
+        # largest floor (module docstring)
+        p0: int,
+        p1: int,
+        sym: bool,  # every diameter so far is symmetric, a_s = b_s
         # the first difference f_{s-1} - c_s over s < t, or 0: whether
         # f_0..f_{t-2} reads below, like or above c_1..c_{t-1}
         rot: int,
@@ -513,7 +541,7 @@ def run_shard(
             # count t + 1 ends with this diameter, and its children are
             # leaves: search it on its own, which counts this node, then the
             # counts above it, which share every child
-            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot,
+            dfs(t, lo, lo, s_run, f_run, sa, sb, xa, xb, mf, mb, p0, p1, sym, rot,
                 q1, q2, cp, fp)
             lo += 1
         else:
@@ -589,21 +617,13 @@ def run_shard(
             if adj - bv[0] > a_lo:
                 a_lo = adj - bv[0]
 
-        # lexicographic floors from rotations still tied with the identity
-        r1 = d0c
-        for j in live0:
-            c = codes[t - j]
-            if c > r1:
-                r1 = c
-        r2 = d0c
-        for j in live1:
-            c = codes[t - j]
-            if c > r2:
-                r2 = c
-        # j = 0 (read above as the unassigned codes[t]) stays in live1 while
-        # every diameter so far is symmetric: the pair-flipped image then
+        # lexicographic floors from rotations still tied with the identity;
+        # the rotation that starts here reads c_t against c_0
+        r1 = codes[t - p0] if p0 else d0c
+        r2 = codes[t - p1] if p1 else d0c
+        # while every diameter so far is symmetric the pair-flipped image
         # ties the identity, and (a_t, b_t) <= (b_t, a_t) asks a_t <= b_t
-        flip = live1 and live1[0] == 0
+        flip = sym
         # the units the diameters after a child need beyond one each: more
         # after every child, and one after child a = 0 (unit_a), b = 0
         # (unit_b) or a child whose code passes (pa, pb)
@@ -777,31 +797,25 @@ def run_shard(
                 sbb = sb + b
                 nmf = mf if mf >= saa - sb else saa - sb
                 nmb = mb if mb >= sbb - sa else sbb - sa
-                nlive0 = [j for j in live0 if codes[t - j] == code] if live0 else []
-                if code == d0c:
-                    nlive0.append(t)
-                nlive1 = [j for j in live1 if codes[t - j] == fcode] if live1 else []
-                if fcode == d0c:
-                    nlive1.append(t)
-                # the pivots at t - 1 that read the prefix back floor the last
-                # diameter at this child's code; the child's own pivots at t
-                # read it back when they start at c_0 and tie (rv0, rv1)
+                # a child on the floor r1 keeps the least tied rotation, or
+                # starts one at t when none is tied; above it, every tied
+                # rotation dies and none starts (so for r2).  The pivots at
+                # t - 1 that read the prefix back floor the last diameter at
+                # this child's code; the child's own pivots at t read it back
+                # when they start at c_0 and tie (rv0, rv1)
                 dfs(t + 1, c_lo, c_hi, s_child, f_child, saa, sbb, nxa, nxb, nmf, nmb,
-                    nlive0, nlive1, rot or fcodes[t - 1] - code,
+                    (p0 or t) if code == r1 else 0, (p1 or t) if fcode == r2 else 0,
+                    sym and a == b, rot or fcodes[t - 1] - code,
                     code if fp and code > q1 else q1, code if cp and code > q2 else q2,
                     code == d0c and rv0, fcode == d0c and rv1)
-        av[t] = 0
-        bv[t] = 0
-        codes[t] = 0
 
     def enter(path: tuple[int, ...], lo: int, hi: int) -> None:
         # search the subtree of the node that the path leads to, with the
         # running sums that dfs would pass down to it, rebuilt from its labels
         depth = len(path) // 2
-        s_run = f_run = sa = sb = xa = xb = mf = mb = rot = q1 = q2 = 0
+        s_run = f_run = sa = sb = xa = xb = mf = mb = p0 = p1 = rot = q1 = q2 = 0
+        sym = True
         cp = fp = False
-        live0: list[int] = []
-        live1: list[int] = []
         for t in range(depth):
             a = path[t]
             b = path[depth + t]
@@ -816,21 +830,18 @@ def run_shard(
             mb = mbs[t + 1] = max(mb, sb + b - sa)
             sa += a
             sb += b
-            live0 = [j for j in live0 if codes[t - j] == code]
-            if t and code == codes[0]:  # rotation 0 is the identity itself
-                live0.append(t)
-            live1 = [j for j in live1 if codes[t - j] == fcode]
-            if fcode == codes[0]:
-                live1.append(t)
+            sym = sym and a == b
             if cp and code > q2:
                 q2 = code
             if fp and code > q1:
                 q1 = code
             cp = codes[t::-1] == codes[: t + 1]
             fp = fcodes[t::-1] == codes[: t + 1]
-            if t:
+            if t:  # rotation 0 is the identity itself
+                p0 = p0 if p0 and code == codes[t - p0] else t if code == codes[0] else 0
+                p1 = p1 if p1 and fcode == codes[t - p1] else t if fcode == codes[0] else 0
                 rot = rot or fcodes[t - 1] - code
-        dfs(depth, lo, hi, s_run, f_run, sa, sb, xa, xb, mf, mb, live0, live1, rot, q1, q2, cp, fp)
+        dfs(depth, lo, hi, s_run, f_run, sa, sb, xa, xb, mf, mb, p0, p1, sym, rot, q1, q2, cp, fp)
 
     if path:
         enter(path, n, n_last)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import GaleDiagram
+from .diagram import GaleDiagram, _check_k
 from .errors import ParameterError
 
 
@@ -72,22 +72,19 @@ def recursive_family(m: int, n: int) -> VFPair:
 
 def build_example1(k: int) -> GaleDiagram:
     """Two diameters, every label k+1: the gap-minimizing diagram for k >= 4."""
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
+    _check_k(k, 2)
     return GaleDiagram(n=2, labels=(k + 1,) * 4)
 
 
 def build_example2(k: int) -> GaleDiagram:
     """k+2 diameters with unit labels: the gap-minimizing diagram for k <= 3."""
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
+    _check_k(k, 2)
     return GaleDiagram(n=k + 2, labels=(1,) * (2 * k + 4))
 
 
 def build_example3(k: int) -> GaleDiagram:
     """2k+3 diameters with alternating 0/1 labels: a simplicial diagram."""
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
+    _check_k(k, 2)
     return GaleDiagram(n=2 * k + 3, labels=(0, 1) * (2 * k + 3))
 
 

@@ -161,17 +161,24 @@ def _cycle_semicircle_sums(labels: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _check_k(k: int, least: int = 1) -> None:
+    # an exact int, as in SearchConfig: a float k moves the k+1 threshold
+    # and a bool is an int subclass
+    if type(k) is not int:
+        raise ParameterError(f"k must be an integer, got {k!r}")
+    if k < least:
+        raise ParameterError(f"k must be >= {least}, got {k}")
+
+
 def is_k_neighborly(diagram: GaleDiagram, k: int) -> bool:
     """True iff every open semicircle carries label mass at least k+1."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    _check_k(k)
     return min(semicircle_sums(diagram)) >= k + 1
 
 
 def validate(diagram: GaleDiagram, k: int) -> ValidationReport:
     """Check the structural properties P1-P4 plus neighborliness and simpliciality."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    _check_k(k)
     n = diagram.n
     labels = diagram.labels
     two_n = 2 * n
@@ -333,6 +340,8 @@ def displace(diagram: GaleDiagram, i: int) -> GaleDiagram:
     result stays k-neighborly whenever the semicircle i .. i+n-2 sums to at
     least k+2.
     """
+    if type(i) is not int:
+        raise ParameterError(f"position must be an integer, got {i!r}")
     n = diagram.n
     two_n = 2 * n
     i %= two_n

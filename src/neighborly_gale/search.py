@@ -100,8 +100,9 @@ class SearchConfig:
     """Parameters of one search run.
 
     ``sum_cap`` and ``n_max`` override the default search-space caps (label
-    sum 4(k+1), which also bounds the diameter count); they exist so tests
-    can scan a slack space beyond the default caps.
+    sum 4(k+1), which also bounds the diameter count).  Tests use them to
+    scan slack spaces beyond the default caps, and ``sum_cap`` also defines
+    the benchmark's stream workloads (k = 2 at sum cap 15).
     """
 
     k: int

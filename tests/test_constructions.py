@@ -189,3 +189,9 @@ class TestExampleBuilders:
         for builder in (build_example1, build_example2, build_example3):
             with pytest.raises(ParameterError):
                 builder(1)
+
+    @pytest.mark.parametrize("builder", [build_example1, build_example2, build_example3])
+    @pytest.mark.parametrize("k", [2.0, 3.5, True, "2", None])
+    def test_k_must_be_an_exact_int(self, builder, k):
+        with pytest.raises(ParameterError):
+            builder(k)

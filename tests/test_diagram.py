@@ -175,6 +175,13 @@ class TestNeighborliness:
         with pytest.raises(ParameterError):
             is_k_neighborly(EX1, 0)
 
+    @pytest.mark.parametrize("check", [is_k_neighborly, validate, is_minimal])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_k_must_be_an_exact_int(self, check, k):
+        # a float k would move the k+1 threshold, and a bool is an int subclass
+        with pytest.raises(ParameterError):
+            check(EX1, k)
+
     @given(diagrams(max_n=6, max_label=3))
     def test_increment_never_destroys(self, d):
         base = min(semicircle_sums(d))
@@ -347,6 +354,11 @@ class TestDisplace:
     def test_guard_zero_neighbour(self):
         with pytest.raises(InvalidMoveError):
             displace(GaleDiagram(4, (2, 2, 0, 0, 2, 2, 2, 2)), 7)
+
+    @pytest.mark.parametrize("i", [7.0, True, "7", None])
+    def test_position_must_be_an_exact_int(self, i):
+        with pytest.raises(ParameterError):
+            displace(GaleDiagram(4, (2, 2, 2, 0, 2, 2, 2, 2)), i)
 
     def test_neighborliness_preserved_with_slack(self):
         # semicircle i..i+n-2 sums to k+2, the tight case of the move lemma

@@ -221,6 +221,26 @@ class TestPairSymmetry:
         labels = tuple(range(2 * n))
         assert len(set(dihedral_orbit(labels))) == 4 * n
 
+    @pytest.mark.parametrize(
+        "k,level,sum_cap", [(2, "marcus", 10), (3, "marcus", 11), (3, "extremal", 13)]
+    )
+    def test_least_tied_rotation_sets_the_floor(self, k, level, sum_cap):
+        # at every node the search reaches, the rotations j >= 1 that read
+        # c_j.. or f_j.. = c_0.. through the prefix floor the next diameter
+        # at c_{t-j}, and the least such j sets the largest floor: the DFS
+        # keeps only that j per family (p0, p1)
+        several = 0
+        for args, _, _ in _walk(k, level, sum_cap):
+            path = args[8]
+            t = len(path) // 2
+            codes = list(zip(path[:t], path[t:]))
+            for family in (codes, [(b, a) for a, b in codes]):
+                tied = [j for j in range(1, t) if family[j:] == codes[: t - j]]
+                if tied:
+                    assert max(codes[t - j] for j in tied) == codes[t - tied[0]], path
+                    several += len(tied) > 1
+        assert several > 20
+
 
 def _padded(labels, n):
     """The prefix ``labels`` (front labels, then back labels) padded to n diameters with zeros."""
