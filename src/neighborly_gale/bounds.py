@@ -2,26 +2,19 @@
 
 All arithmetic is exact integer arithmetic; formulas that divide must divide
 exactly and raise otherwise instead of rounding.  Parameters must be exact
-ints: a float or a bool raises ``ParameterError``.
+ints (``errors.require_ints``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import InexactDivisionError, ParameterError
-
-
-def _require_ints(**params) -> None:
-    # exact types: a float gives an inexact value and a bool is an int subclass
-    wrong = [name for name, v in params.items() if type(v) is not int]
-    if wrong:
-        raise ParameterError(f"parameters {wrong} must be integers, got {params}")
+from .errors import InexactDivisionError, ParameterError, require_ints
 
 
 def binomial(a: int, b: int) -> int:
     """C(a, b) with the convention C(a, b) = 0 for b < 0 or b > a."""
-    _require_ints(a=a, b=b)
+    require_ints(a=a, b=b)
     if b < 0 or b > a or a < 0:
         return 0
     return math.comb(a, b)
@@ -37,9 +30,7 @@ class FVector:
     def __post_init__(self):
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
-        # exact types: a float would be truncated and a bool is an int subclass
-        if type(self.d) is not int or not set(map(type, entries)) <= {int}:
-            raise ParameterError("dimension and face counts must be integers")
+        require_ints(d=self.d, entries=entries)
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
         if len(self.entries) != self.d + 1:
@@ -75,7 +66,7 @@ class BoundReport:
 
 def simplicial_lbt(d: int, n: int) -> int:
     """Minimum facet count of a simplicial d-polytope with n vertices."""
-    _require_ints(d=d, n=n)
+    require_ints(d=d, n=n)
     if d < 2:
         raise ParameterError(f"dimension must be >= 2, got {d}")
     if n < d + 1:
@@ -85,7 +76,7 @@ def simplicial_lbt(d: int, n: int) -> int:
 
 def neighborly_facets(k: int, n: int) -> int:
     """Facet count of a neighborly 2k-polytope with n vertices: n/(n-k) C(n-k, k)."""
-    _require_ints(k=k, n=n)
+    require_ints(k=k, n=n)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if n <= 2 * k:
@@ -100,7 +91,7 @@ def neighborly_facets(k: int, n: int) -> int:
 
 def gmatrix_entry(d: int, i: int, j: int) -> int:
     """Entry (i, j) of the g-theorem transfer matrix for dimension d."""
-    _require_ints(d=d, i=i, j=j)
+    require_ints(d=d, i=i, j=j)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     if not 0 <= i <= d // 2:
@@ -116,7 +107,7 @@ def g_vector_kneighborly(d: int, n: int, k: int) -> tuple[int, ...]:
     g_j = C(n-d-2+j, j); substituting into the g-theorem system reproduces
     f_j = C(n, j+1) for every j < k.
     """
-    _require_ints(d=d, n=n, k=k)
+    require_ints(d=d, n=n, k=k)
     if not 1 <= k <= d // 2:
         raise ParameterError(f"need 1 <= k <= d/2, got k={k}, d={d}")
     if n < d + 2:
@@ -130,7 +121,7 @@ def fj_lower_bound(d: int, n: int, k: int, j: int) -> int:
     f_j >= sum over i <= k of M(i, j+1) g_i, with M the transfer matrix
     ``gmatrix_entry`` and g the k-neighborly g-vector.
     """
-    _require_ints(d=d, n=n, k=k, j=j)
+    require_ints(d=d, n=n, k=k, j=j)
     g = g_vector_kneighborly(d, n, k)
     if not 0 <= j <= d - 1:
         raise ParameterError(f"face index {j} outside 0..{d - 1}")
@@ -139,7 +130,7 @@ def fj_lower_bound(d: int, n: int, k: int, j: int) -> int:
 
 def smallvert_bound(d: int, k: int) -> int:
     """Facet floor d + 1 + k^2 for k-neighborly d-polytopes that are not simplexes."""
-    _require_ints(d=d, k=k)
+    require_ints(d=d, k=k)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if d < 2 * k:
@@ -149,7 +140,7 @@ def smallvert_bound(d: int, k: int) -> int:
 
 def corollary2_bound(d: int, k: int) -> int:
     """Facet floor for simplicial k-neighborly d-polytopes with d+3 vertices."""
-    _require_ints(d=d, k=k)
+    require_ints(d=d, k=k)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if d < 2 * k:
@@ -162,7 +153,7 @@ def corollary2_bound(d: int, k: int) -> int:
 
 def d_k(k: int, n: int) -> int:
     """Alternating binomial sum D_k(n) = sum_{i=1..k} (-1)^i C(n, i)."""
-    _require_ints(k=k, n=n)
+    require_ints(k=k, n=n)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if n < 2 * k:

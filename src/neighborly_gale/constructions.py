@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import GaleDiagram, _check_k
-from .errors import ParameterError
+from .diagram import GaleDiagram
+from .errors import ParameterError, require_ints
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,7 @@ class VFPair:
     facets: int
 
     def __post_init__(self):
-        # exact types: a float would pass the checks and a bool is an int subclass
-        if any(type(v) is not int for v in (self.d, self.vertices, self.facets)):
-            raise ParameterError("dimension, vertices and facets must be integers")
+        require_ints(d=self.d, vertices=self.vertices, facets=self.facets)
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
         if self.vertices < self.d + 1:
@@ -59,6 +57,7 @@ def recursive_family(m: int, n: int) -> VFPair:
     Closed form: dimension 5*2^m - 1, 2^m n vertices, 2^{m-1} n (n-3) facets
     (n(n-3)/2 at m=0; n(n-3) is always even).
     """
+    require_ints(m=m, n=n)
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
     if n < 5:
@@ -70,21 +69,27 @@ def recursive_family(m: int, n: int) -> VFPair:
     )
 
 
+def _check_k(k: int) -> None:
+    require_ints(k=k)
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
+
+
 def build_example1(k: int) -> GaleDiagram:
     """Two diameters, every label k+1: the gap-minimizing diagram for k >= 4."""
-    _check_k(k, 2)
+    _check_k(k)
     return GaleDiagram(n=2, labels=(k + 1,) * 4)
 
 
 def build_example2(k: int) -> GaleDiagram:
     """k+2 diameters with unit labels: the gap-minimizing diagram for k <= 3."""
-    _check_k(k, 2)
+    _check_k(k)
     return GaleDiagram(n=k + 2, labels=(1,) * (2 * k + 4))
 
 
 def build_example3(k: int) -> GaleDiagram:
     """2k+3 diameters with alternating 0/1 labels: a simplicial diagram."""
-    _check_k(k, 2)
+    _check_k(k)
     return GaleDiagram(n=2 * k + 3, labels=(0, 1) * (2 * k + 3))
 
 

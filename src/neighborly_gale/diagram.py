@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import DegenerateDiagramError, InvalidMoveError, ParameterError
+from .errors import DegenerateDiagramError, InvalidMoveError, ParameterError, require_ints
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,7 @@ class GaleDiagram:
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        # exact types: a float would be truncated and a bool is an int subclass
-        if (
-            type(self.n) is not int
-            or type(self.center) is not int
-            or not set(map(type, labels)) <= {int}
-        ):
-            raise ParameterError("diagram n, center and labels must be integers")
+        require_ints(n=self.n, labels=labels, center=self.center)
         if self.n < 2:
             raise ParameterError(f"need at least 2 diameters, got n={self.n}")
         if len(self.labels) != 2 * self.n:
@@ -57,6 +51,7 @@ class GaleDiagram:
 
     def label(self, i: int) -> int:
         """Label at position i, with wraparound: label(i) == label(i mod 2n)."""
+        require_ints(i=i)
         return self.labels[i % (2 * self.n)]
 
     def to_json(self) -> dict:
@@ -161,13 +156,10 @@ def _cycle_semicircle_sums(labels: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _check_k(k: int, least: int = 1) -> None:
-    # an exact int, as in SearchConfig: a float k moves the k+1 threshold
-    # and a bool is an int subclass
-    if type(k) is not int:
-        raise ParameterError(f"k must be an integer, got {k!r}")
-    if k < least:
-        raise ParameterError(f"k must be >= {least}, got {k}")
+def _check_k(k: int) -> None:
+    require_ints(k=k)
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
 
 
 def is_k_neighborly(diagram: GaleDiagram, k: int) -> bool:
@@ -182,59 +174,32 @@ def validate(diagram: GaleDiagram, k: int) -> ValidationReport:
     n = diagram.n
     labels = diagram.labels
     two_n = 2 * n
-    violations: dict[str, int] = {}
-
-    dimension = diagram.vertex_count - 3
-    p1 = dimension >= 1
-
-    p2 = True
-    for i in range(n):
-        if labels[i] + labels[i + n] == 0:
-            p2 = False
-            violations["P2"] = i
-            break
-
-    p3 = True
-    for i in range(two_n):
-        if labels[i] + labels[(i + 1) % two_n] == 0:
-            p3 = False
-            violations["P3"] = i
-            break
-
     sums = semicircle_sums(diagram)
-    p4 = True
-    for i, s in enumerate(sums):
-        if s < 2:
-            p4 = False
-            violations["P4"] = i
-            break
-
-    neighborly = True
-    for i, s in enumerate(sums):
-        if s < k + 1:
-            neighborly = False
-            violations["N"] = i
-            break
-
-    simplicial = diagram.center == 0
-    if not simplicial:
-        violations["S"] = -1
-    else:
-        for i in range(n):
-            if labels[i] * labels[i + n] > 0:
-                simplicial = False
-                violations["S"] = i
-                break
-
+    # the indices where each property fails, drawn lazily up to the first
+    failing = {
+        "P2": (i for i in range(n) if labels[i] + labels[i + n] == 0),
+        "P3": (i for i in range(two_n) if labels[i] + labels[(i + 1) % two_n] == 0),
+        "P4": (i for i, s in enumerate(sums) if s < 2),
+        "N": (i for i, s in enumerate(sums) if s < k + 1),
+        "S": (i for i in range(n) if labels[i] * labels[i + n] > 0),
+    }
+    if diagram.center > 0:
+        failing["S"] = iter((-1,))
+    violations: dict[str, int] = {}
+    for name, indices in failing.items():
+        first = next(indices, None)
+        if first is not None:
+            violations[name] = first
+    dimension = diagram.vertex_count - 3
     return ValidationReport(
         k=k,
         dimension=dimension,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p4=p4,
-        neighborly=neighborly,
-        simplicial=simplicial,
+        p1=dimension >= 1,
+        p2="P2" not in violations,
+        p3="P3" not in violations,
+        p4="P4" not in violations,
+        neighborly="N" not in violations,
+        simplicial="S" not in violations,
         first_violations=violations,
     )
 
@@ -340,8 +305,7 @@ def displace(diagram: GaleDiagram, i: int) -> GaleDiagram:
     result stays k-neighborly whenever the semicircle i .. i+n-2 sums to at
     least k+2.
     """
-    if type(i) is not int:
-        raise ParameterError(f"position must be an integer, got {i!r}")
+    require_ints(i=i)
     n = diagram.n
     two_n = 2 * n
     i %= two_n
@@ -371,6 +335,7 @@ def is_minimal_cycle(labels: tuple[int, ...], k: int) -> bool:
     On a k-neighborly cycle this is ``is_minimal``: no label can be
     decremented.
     """
+    require_ints(k=k)
     two_n = len(labels)
     n = two_n // 2
     sums = _cycle_semicircle_sums(labels)

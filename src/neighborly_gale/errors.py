@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one exact-int check.
+
+``require_ints`` guards every public int parameter: the ``bounds``
+functions, ``FVector``, ``VFPair``, ``recursive_family``, the example
+builders, ``GaleDiagram`` and ``.label``, ``is_k_neighborly``, ``validate``,
+``displace``, ``is_minimal``, ``is_minimal_cycle``,
+``triangle_contains_origin``, ``SearchConfig``, ``delta3_closed_form`` and
+``verify_theorem1``.
+"""
 
 
 class DiagramError(Exception):
@@ -7,6 +15,23 @@ class DiagramError(Exception):
 
 class ParameterError(DiagramError, ValueError):
     """A precondition on the arguments was violated."""
+
+
+def require_ints(**named) -> None:
+    """Raise ``ParameterError`` naming each value that is not an exact int.
+
+    A tuple is checked element by element.  A float would be truncated or
+    move a threshold, and a bool is an int subclass: either would pass the
+    range checks with a value the caller did not mean.
+    """
+    wrong = ""
+    for name, value in named.items():
+        if type(value) is not int and (
+            type(value) is not tuple or any(type(v) is not int for v in value)
+        ):
+            wrong += f", {name}={value!r}"
+    if wrong:
+        raise ParameterError(f"parameters must be integers: {wrong[2:]}")
 
 
 class DegenerateDiagramError(DiagramError):

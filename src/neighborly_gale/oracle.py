@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagram import GaleDiagram
-from .errors import OracleSizeError
+from .errors import OracleSizeError, require_ints
 
 # Strict-sign threshold for the orientation determinant.  On a regular 2n-gon
 # with n <= 10 every nonzero orientation magnitude is at least sin(pi/10),
@@ -44,6 +44,7 @@ def triangle_contains_origin(a: int, b: int, c: int, n: int) -> bool:
     Antipodal pairs among the triple put the origin on an edge; the strict
     sign test classifies those as not contained.
     """
+    require_ints(a=a, b=b, c=c, n=n)
     pa = point_on_circle(a, n)
     pb = point_on_circle(b, n)
     pc = point_on_circle(c, n)

@@ -71,7 +71,7 @@ from multiprocessing import Pool
 from ._core import ShardResult, run_shard
 from .constructions import build_example1
 from .diagram import GaleDiagram, _unchecked, canonical_form, count_cofacets, least_image
-from .errors import ParameterError
+from .errors import ParameterError, require_ints
 
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 
@@ -113,10 +113,8 @@ class SearchConfig:
     n_max: int | None = None
 
     def __post_init__(self):
-        # exact ints, as in GaleDiagram: floats and bools get past the range checks
-        optional = [v for v in (self.sum_cap, self.n_max) if v is not None]
-        if any(type(v) is not int for v in (self.k, self.jobs, *optional)):
-            raise ParameterError(f"k, jobs, sum_cap and n_max must be integers: {self}")
+        caps = {"sum_cap": self.sum_cap, "n_max": self.n_max}
+        require_ints(k=self.k, jobs=self.jobs, **{c: v for c, v in caps.items() if v is not None})
         if type(self.emit_all) is not bool:
             raise ParameterError(f"emit_all must be a bool, got {self.emit_all!r}")
         if self.k < 2:
@@ -162,8 +160,7 @@ class SearchResult:
 
 def delta3_closed_form(k: int) -> int:
     """Minimum facet-vertex gap over k-neighborly polytopes with d+3 vertices."""
-    if type(k) is not int:
-        raise ParameterError(f"k must be an integer, got {k!r}")
+    require_ints(k=k)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if k in (2, 3):
@@ -411,7 +408,8 @@ def verify_theorem1(k_max: int, prune_level: str = "extremal", jobs: int = 1) ->
     witness, so a completed table doubles as the facets >= vertices check.
     The whole sweep shares one pool, started when a k first needs it.
     """
-    if type(k_max) is not int or not 2 <= k_max <= 16:
+    require_ints(k_max=k_max)
+    if not 2 <= k_max <= 16:
         raise ParameterError(f"k_max must be between 2 and 16, got {k_max}")
     rows = []
     with _Workers(jobs) as workers:
