@@ -28,7 +28,12 @@ class FVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        try:
+            entries = tuple(self.entries)
+        except TypeError as exc:
+            raise ParameterError(
+                f"entries must be a sequence of integers, got {self.entries!r}"
+            ) from exc
         object.__setattr__(self, "entries", entries)
         require_ints(d=self.d, entries=entries)
         if self.d < 1:

@@ -27,7 +27,12 @@ class GaleDiagram:
     center: int = 0
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        try:
+            labels = tuple(self.labels)
+        except TypeError as exc:
+            raise ParameterError(
+                f"labels must be a sequence of integers, got {self.labels!r}"
+            ) from exc
         object.__setattr__(self, "labels", labels)
         require_ints(n=self.n, labels=labels, center=self.center)
         if self.n < 2:

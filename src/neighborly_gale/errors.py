@@ -4,8 +4,8 @@
 functions, ``FVector``, ``VFPair``, ``recursive_family``, the example
 builders, ``GaleDiagram`` and ``.label``, ``is_k_neighborly``, ``validate``,
 ``displace``, ``is_minimal``, ``is_minimal_cycle``,
-``triangle_contains_origin``, ``SearchConfig``, ``delta3_closed_form`` and
-``verify_theorem1``.
+``triangle_contains_origin``, ``point_on_circle``, ``SearchConfig``,
+``delta3_closed_form`` and ``verify_theorem1``.
 """
 
 

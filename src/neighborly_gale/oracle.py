@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagram import GaleDiagram
-from .errors import OracleSizeError, require_ints
+from .errors import OracleSizeError, ParameterError, require_ints
 
 # Strict-sign threshold for the orientation determinant.  On a regular 2n-gon
 # with n <= 10 every nonzero orientation magnitude is at least sin(pi/10),
@@ -30,6 +30,14 @@ class PlanarPoint:
 
 def point_on_circle(i: int, n: int) -> PlanarPoint:
     """Unit-circle position of vertex i of the 2n-gon, going clockwise."""
+    require_ints(i=i, n=n)
+    if n < 1:
+        raise ParameterError(f"a 2n-gon needs n >= 1, got n={n}")
+    return _point_on_circle(i, n)
+
+
+def _point_on_circle(i: int, n: int) -> PlanarPoint:
+    """``point_on_circle`` for arguments already checked."""
     angle = math.pi * i / n
     return PlanarPoint(math.cos(angle), -math.sin(angle))
 
@@ -45,9 +53,11 @@ def triangle_contains_origin(a: int, b: int, c: int, n: int) -> bool:
     sign test classifies those as not contained.
     """
     require_ints(a=a, b=b, c=c, n=n)
-    pa = point_on_circle(a, n)
-    pb = point_on_circle(b, n)
-    pc = point_on_circle(c, n)
+    if n < 1:
+        raise ParameterError(f"a 2n-gon needs n >= 1, got n={n}")
+    pa = _point_on_circle(a, n)
+    pb = _point_on_circle(b, n)
+    pc = _point_on_circle(c, n)
     d1 = _cross(pa, pb)
     d2 = _cross(pb, pc)
     d3 = _cross(pc, pa)

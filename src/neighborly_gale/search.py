@@ -42,19 +42,20 @@ all of the marcus proof, and a whole stream shard would hold all of its
 leaves at once.  A piece is a ``run_shard`` call with a budget of
 ``PIECE_NODES`` nodes; once it is spent, the piece hands back the subtrees
 it has not entered, in depth-first order, each with the bound it was cut
-with.  A task runs pieces off the front of a queue until it has spent its
-budget, and puts the pieces handed back at the front.
+with.  The parent runs pieces off the front of a queue and puts the pieces
+handed back at the front.
 
 Where a piece runs is a rent-or-buy choice.  While no pool runs, the
 parent runs the pieces itself, all of them at ``jobs`` = 1, so the stream
 yields each shard's leaves in the shard's order.  At ``jobs > 1`` it stops
 once it has spent ``POOL_NODES`` nodes, the break-even point of the pool's
-fixed cost, and more than one piece is pending, and starts a pool for the
-pieces left; ``jobs`` never exceeds the usable CPUs.  A search that finds a
-pool running, as in a ``verify_theorem1`` sweep, sends it every piece.  A
-pool task has a budget of ``PIECE_NODES`` nodes.  The split counts nodes
-alone, so the pieces, and every count in ``SearchStats``, are the same at
-every ``jobs``.
+fixed cost (fitted in ``BENCH_26.json`` by ``tools/fit_pool_nodes.py``),
+and more than one piece is pending, and starts a pool for the pieces left;
+``jobs`` never exceeds the usable CPUs.  A search that finds a pool
+running, as in a ``verify_theorem1`` sweep, sends it every piece.  The
+pending pieces stay in the parent, and a pool task runs every piece it
+carries.  The split counts nodes alone, so the pieces, and every count in
+``SearchStats``, are the same at every ``jobs``.
 """
 from __future__ import annotations
 
@@ -76,23 +77,19 @@ from .errors import ParameterError, require_ints
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 
 # Nodes that a piece searches before it hands back the subtrees it has not
-# entered, and that a task spends: no piece of marcus k = 16 then holds more
-# than 1.3% of its nodes, and at jobs=1 the split costs no measurable time
-# (BENCH_11.json).
+# entered: no piece of marcus k = 16 then holds more than 1.3% of its
+# nodes, and at jobs=1 the split costs no measurable time (BENCH_11.json).
 PIECE_NODES = 2000
 # Nodes the parent searches in process before it starts a pool: the
 # break-even point C s / (s - 1) of rent or buy (Karlin, Manasse, Rudolph,
 # Sleator, "Competitive snoopy caching", Algorithmica 3, 1988), which never
 # costs more than 2 - 1/s times the better choice made in hindsight.  C is
 # the pool's fixed cost (start, warm-up, a round trip, teardown) and s the
-# speed-up of two processes on a 2-CPU host: fresh-interpreter runs of
-# marcus k = 6..14 at jobs 2 against jobs 1 fit C = 27 ms and s = 1.82 at
-# 10.3 us a node in process, so C s / (s - 1) = 60 ms, 5,800 nodes
-# (BENCH_14.json).
-POOL_NODES = 5800
-# Most pieces a pool task carries: enough to amortise a round trip, few
-# enough that a task's leftovers are cheap to send back.
-TASK_PIECES = 64
+# speed-up of two processes on a 2-CPU host: 144 fresh-interpreter pairs
+# of marcus k = 6..14 at jobs 2 against jobs 1 fit C = 42.7 ms and s = 1.86
+# at 7.65 us a node in process, so C s / (s - 1) = 92.5 ms, 12,100 nodes
+# (BENCH_26.json; re-fit with tools/fit_pool_nodes.py when nodes get cheaper).
+POOL_NODES = 12100
 
 
 @dataclass(frozen=True)
@@ -289,7 +286,7 @@ def _usable_cpus() -> int:
 
 
 def _run_task(pending: deque, budget: float) -> Iterator[ShardResult]:
-    """One task: pieces off the front of ``pending`` until ``budget`` nodes are spent.
+    """Pieces off the front of ``pending``, in process, until ``budget`` nodes are spent.
 
     Each piece gets a budget of ``PIECE_NODES`` nodes, and the pieces it hands
     back go to the front of ``pending``, in depth-first order.  One piece always runs.
@@ -304,9 +301,9 @@ def _run_task(pending: deque, budget: float) -> Iterator[ShardResult]:
 
 
 def _pool_task(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
-    """A task on a worker: the shards of its pieces and the pieces it left."""
-    pending = deque(pieces)
-    return list(_run_task(pending, PIECE_NODES)), list(pending)
+    """A task on a worker: the shard of each of its pieces, and the pieces they hand back."""
+    opened: list[tuple] = []
+    return [run_shard(*piece, PIECE_NODES, opened) for piece in pieces], opened
 
 
 def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
@@ -315,12 +312,15 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     Rent or buy: while no pool runs, the parent runs the pieces itself until
     the search ends or it has spent ``POOL_NODES`` nodes with more than one
     piece pending, and at ``jobs`` = 1 it runs them all.  Only then does it
-    start the pool, and a pool already running gets every piece at once.  A
-    pool task carries up to ``TASK_PIECES`` pieces, as most are tiny, and
-    hands back what it has not started.  Each worker has a second task
-    queued, so it never waits for the parent, and the pending pieces are
-    spread over the free task slots.  How the pieces travel does not change
-    any piece.  A worker's error reaches the caller as soon as the worker
+    start the pool; a pool already running gets every piece.  The pending
+    pieces stay in the parent.  A pool task carries an even share of them
+    over all task slots and runs every piece it carries, so no piece travels
+    twice, and the pieces it hands back join pieces still pending: as a
+    piece's size is unknown until it runs, tasks shrink with the pending
+    pieces, and the last ones are small (factoring: Hummel, Schonberg,
+    Flynn, CACM 35(8), 1992).  Each worker has a second task queued, so it
+    never waits for the parent.  How the pieces travel does not change any
+    piece.  A worker's error reaches the caller as soon as the worker
     raises it.
     """
     pending = deque(pieces)
@@ -340,16 +340,16 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     running = 0
     while pending or running:
         while pending and running < slots:
-            take = min(TASK_PIECES, -(-len(pending) // (slots - running)))
-            batch = [pending.popleft() for _ in range(take)]
+            batch = [pending.popleft() for _ in range(-(-len(pending) // slots))]
             pool.apply_async(_pool_task, (batch,), callback=done.put, error_callback=done.put)
             running += 1
         out = done.get()
         running -= 1
         if isinstance(out, BaseException):
             raise out
-        yield from out[0]
-        pending.extendleft(reversed(out[1]))
+        shards, opened = out
+        yield from shards
+        pending.extendleft(reversed(opened))
 
 
 def find_delta3(config: SearchConfig) -> SearchResult:

@@ -38,7 +38,7 @@ from neighborly_gale.diagram import (
     validate,
 )
 from neighborly_gale.errors import ParameterError, require_ints
-from neighborly_gale.oracle import triangle_contains_origin
+from neighborly_gale.oracle import point_on_circle, triangle_contains_origin
 from neighborly_gale.search import SearchConfig, delta3_closed_form, verify_theorem1
 
 FOURGON = GaleDiagram(2, (3, 3, 3, 3))  # 2-neighborly and minimal
@@ -69,6 +69,7 @@ SURFACE = [
     (is_minimal, {"diagram": FOURGON, "k": 2}, ("k",)),
     (is_minimal_cycle, {"labels": (1,) * 8, "k": 2}, ("k",)),
     (triangle_contains_origin, {"a": 0, "b": 2, "c": 4, "n": 3}, ("a", "b", "c", "n")),
+    (point_on_circle, {"i": 1, "n": 3}, ("i", "n")),
     (
         SearchConfig,
         {"k": 3, "jobs": 1, "sum_cap": 20, "n_max": 4},
@@ -103,6 +104,16 @@ def test_bool_or_float_raises(func, kwargs, name, bad):
         value = bad
     with pytest.raises(ParameterError, match=rf"must be integers: .*\b{name}="):
         func(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize(
+    "func,kwargs", [(GaleDiagram, {"n": 2, "labels": 5}), (FVector, {"d": 2, "entries": 5})]
+)
+def test_non_sequence_raises(func, kwargs):
+    # the sequence is converted before any check; what is not one is still a
+    # parameter error, not a bare TypeError
+    with pytest.raises(ParameterError, match="must be a sequence of integers"):
+        func(**kwargs)
 
 
 def test_error_names_every_failing_parameter():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neighborly_gale.diagram import GaleDiagram, count_cofacets
-from neighborly_gale.errors import OracleSizeError
+from neighborly_gale.errors import OracleSizeError, ParameterError
 from neighborly_gale.oracle import (
     oracle_count_cofacets,
     point_on_circle,
@@ -27,6 +27,14 @@ class TestGeometry:
         # position 1 sits clockwise (negative y) of position 0
         pt = point_on_circle(1, 4)
         assert pt.y < 0
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_polygon_below_one_diameter(self, n):
+        # a 2n-gon needs n >= 1: n = 0 would divide by zero
+        with pytest.raises(ParameterError, match="n >= 1"):
+            point_on_circle(1, n)
+        with pytest.raises(ParameterError, match="n >= 1"):
+            triangle_contains_origin(0, 1, 2, n=n)
 
     def test_containing_triple(self):
         assert triangle_contains_origin(1, 4, 6, n=4)

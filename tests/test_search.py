@@ -727,9 +727,10 @@ class TestFindDelta3:
             assert len(set(values.values())) == 1, values
 
     def test_jobs_do_not_change_anything(self, monkeypatch):
-        # marcus k = 9 (10,144 nodes) outgrows POOL_NODES, so jobs=2 starts
-        # a real pool; the pieces, and so every count, stay the same
-        config = SearchConfig(k=9, prune_level="marcus", emit_all=True)
+        # marcus k = 10 (15,963 nodes), the least k that outgrows
+        # POOL_NODES, starts a real pool at jobs=2; the pieces, and so every
+        # count, stay the same
+        config = SearchConfig(k=10, prune_level="marcus", emit_all=True)
         serial = find_delta3(config)
         assert serial.stats.nodes > search.POOL_NODES
         pools = _count_pools(monkeypatch)
@@ -738,6 +739,28 @@ class TestFindDelta3:
         assert active_children() == []
         assert _counts(parallel) == _counts(serial)
         assert serial.stats.pieces > len(_run_args(config, None))  # it split
+
+    def test_no_piece_reaches_a_worker_twice(self, monkeypatch):
+        # the pending pieces stay in the parent and a pool task runs every
+        # piece it carries: the pool runs each piece that the parent does
+        # not run exactly once, and no task sends one back unstarted
+        config = SearchConfig(k=12, prune_level="marcus", emit_all=True)
+        serial = find_delta3(config)
+        tasks = _record_tasks(monkeypatch)
+        in_parent = []
+
+        def spied(*args):
+            in_parent.append(args)
+            return run_shard(*args)
+
+        monkeypatch.setattr(search, "run_shard", spied)
+        parallel = find_delta3(dataclasses.replace(config, jobs=2))
+        assert active_children() == []
+        sent = [piece for pieces in tasks for piece in pieces]
+        assert len(tasks) > 1
+        assert len(set(sent)) == len(sent)
+        assert len(in_parent) + len(sent) == serial.stats.pieces
+        assert _counts(parallel) == _counts(serial)
 
     def test_single_witness_mode(self):
         result = find_delta3(SearchConfig(k=2, prune_level="minimal", emit_all=False))
@@ -1409,9 +1432,9 @@ class TestPieces:
 
     def test_small_searches_start_no_pool(self, monkeypatch):
         # the parent runs every piece of a search that ends within
-        # POOL_NODES nodes: marcus k <= 7 starts no pool, even at --jobs 64
+        # POOL_NODES nodes: marcus k <= 9 starts no pool, even at --jobs 64
         pools = _inline_pools(monkeypatch)
-        for k in range(2, 8):
+        for k in range(2, 10):
             result = find_delta3(SearchConfig(k=k, prune_level="marcus", jobs=64))
             assert result.stats.nodes <= search.POOL_NODES
         assert pools == []
@@ -1523,11 +1546,11 @@ class TestPieces:
 
         monkeypatch.setattr(search, "_pool_task", pool_task)
         monkeypatch.setattr(search, "run_shard", spied)
-        rows = verify_theorem1(10, prune_level="marcus", jobs=2)
+        rows = verify_theorem1(11, prune_level="marcus", jobs=2)
         assert all(row["match"] for row in rows)
         assert pools == [2]
         bought = min(k for k, pooled, _ in runs if pooled)
-        assert bought < 10
+        assert bought < 11
         assert not any(pooled for k, pooled, _ in runs if k < bought)
         in_parent = sum(nodes for k, pooled, nodes in runs if k == bought and not pooled)
         assert search.POOL_NODES <= in_parent <= search.POOL_NODES + search.PIECE_NODES + (bought + 2) ** 2
@@ -1679,6 +1702,31 @@ def _count_pools(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(search, "Pool", counted)
     return started
+
+
+def _record_tasks(monkeypatch) -> list[list[tuple]]:
+    """Record the pieces of every ``_pool_task`` sent to a real pool on two usable CPUs."""
+    tasks: list[list[tuple]] = []
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    real_pool_task = search._pool_task
+
+    class Recording:
+        def __init__(self, processes):
+            self.pool = Pool(processes=processes)
+
+        def apply_async(self, func, args, **callbacks):
+            assert func is real_pool_task
+            tasks.append(args[0])
+            return self.pool.apply_async(func, args, **callbacks)
+
+        def terminate(self):
+            self.pool.terminate()
+
+        def join(self):
+            self.pool.join()
+
+    monkeypatch.setattr(search, "Pool", Recording)
+    return tasks
 
 
 def _raise_counterexample():
