@@ -31,9 +31,13 @@ class PlanarPoint:
 def point_on_circle(i: int, n: int) -> PlanarPoint:
     """Unit-circle position of vertex i of the 2n-gon, going clockwise."""
     require_ints(i=i, n=n)
+    _require_polygon(n)
+    return _point_on_circle(i, n)
+
+
+def _require_polygon(n: int) -> None:
     if n < 1:
         raise ParameterError(f"a 2n-gon needs n >= 1, got n={n}")
-    return _point_on_circle(i, n)
 
 
 def _point_on_circle(i: int, n: int) -> PlanarPoint:
@@ -53,8 +57,7 @@ def triangle_contains_origin(a: int, b: int, c: int, n: int) -> bool:
     sign test classifies those as not contained.
     """
     require_ints(a=a, b=b, c=c, n=n)
-    if n < 1:
-        raise ParameterError(f"a 2n-gon needs n >= 1, got n={n}")
+    _require_polygon(n)
     pa = _point_on_circle(a, n)
     pb = _point_on_circle(b, n)
     pc = _point_on_circle(c, n)

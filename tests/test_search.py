@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import multiprocessing.pool
 import os
 import pickle
 import time
@@ -1705,26 +1706,15 @@ def _count_pools(monkeypatch) -> list[int]:
 
 
 def _record_tasks(monkeypatch) -> list[list[tuple]]:
-    """Record the pieces of every ``_pool_task`` sent to a real pool on two usable CPUs."""
+    """Record the pieces of every task sent to a real pool on two usable CPUs."""
     tasks: list[list[tuple]] = []
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-    real_pool_task = search._pool_task
 
-    class Recording:
-        def __init__(self, processes):
-            self.pool = Pool(processes=processes)
-
-        def apply_async(self, func, args, **callbacks):
-            assert func is real_pool_task
+    class Recording(multiprocessing.pool.Pool):
+        def apply_async(self, func, args=(), *rest, **kwargs):
             tasks.append(args[0])
-            return self.pool.apply_async(func, args, **callbacks)
+            return super().apply_async(func, args, *rest, **kwargs)
 
-        def terminate(self):
-            self.pool.terminate()
-
-        def join(self):
-            self.pool.join()
-
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(search, "Pool", Recording)
     return tasks
 

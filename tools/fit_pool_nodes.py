@@ -1,15 +1,18 @@
 """Fit the pool's fixed cost and speed-up, and the break-even that sets POOL_NODES.
 
-    python3 tools/fit_pool_nodes.py [--ks 6 8 9 10 12 14] [--pairs 16] [--json OUT]
+    python3 tools/fit_pool_nodes.py [--json OUT]
 
-Each sample is one fresh interpreter that imports the package from ``src/``
-and times one ``find_delta3(SearchConfig(k, "marcus", emit_all=True,
-jobs=J))`` call with ``time.perf_counter``.  A pair runs jobs 1 and 2, the
-one that runs first alternating.  The jobs=2 runs set ``POOL_NODES`` to 1,
-so the parent runs one piece in process and the pool gets every other one.
+For each marcus k in ``KS`` it times ``PAIRS`` pairs.  Each sample is one
+fresh interpreter that imports the package from ``src/`` and times one
+``find_delta3(SearchConfig(k, "marcus", emit_all=True, jobs=J))`` call with
+``time.perf_counter``.  A pair runs jobs 1 and 2, the one that runs first
+alternating.  The jobs=2 runs set ``POOL_NODES`` to 1, so the parent runs
+pieces in process only until more than one is pending, and the pool gets
+the rest.
 
 Per k, with t1 and t2 the median jobs=1 and jobs=2 times and ``pool`` the
-share of the k's nodes that the pool runs, x = t1 * pool is the in-process
+share of the k's nodes that the pool runs (taken from the search itself,
+with each pool task run in process), x = t1 * pool is the in-process
 time of the pool's nodes and y = t2 - t1 * (1 - pool) the time the pool
 took for them.  A least-squares line y = C + x / s over the ks gives the
 pool's fixed cost C (start, warm-up, round trips, teardown) and the speed-up
@@ -28,10 +31,15 @@ import json
 import statistics
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
+from unittest.mock import patch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# One set of the run behind POOL_NODES = 12,100, which pooled six such sets
+# (BENCH_26.json).
+KS = (6, 8, 9, 10, 12, 14)
+PAIRS = 24
+PROBES = 8
 
 CHILD = """
 import sys, time
@@ -74,17 +82,38 @@ def host_speedup(k: int, rounds: int) -> float:
     return statistics.median(ratios)
 
 
-def split_nodes(k: int) -> tuple[int, int]:
-    """(all nodes, nodes the parent runs before it starts the pool) at POOL_NODES = 1."""
+def pool_nodes(k: int) -> tuple[int, int]:
+    """(all nodes, nodes the pool runs) of marcus k at jobs=2 and POOL_NODES = 1.
+
+    The search splits its nodes as in the timed samples, but its pool runs
+    each task in process and counts the nodes of the shards it returns.
+    """
     sys.path.insert(0, str(SRC))
     from neighborly_gale import search
 
-    config = search.SearchConfig(k=k, prune_level="marcus")
-    pending = deque(search._run_args(config, search._seed_gap(k, search._sum_cap(config))))
-    parent = sum(shard.nodes for shard in search._run_task(pending, 1))
-    while len(pending) == 1:  # as search._search: no pool of one worker
-        parent += sum(shard.nodes for shard in search._run_task(pending, 1))
-    return search.find_delta3(config).stats.nodes, parent
+    pooled = 0
+
+    class InlinePool:
+        def __init__(self, processes):
+            pass
+
+        def apply_async(self, func, args, callback, error_callback):
+            nonlocal pooled
+            out = func(*args)
+            pooled += sum(shard.nodes for shard in out[0])
+            callback(out)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    config = search.SearchConfig(k=k, prune_level="marcus", jobs=2)
+    with patch.object(search, "Pool", InlinePool), patch.object(search, "POOL_NODES", 1), \
+            patch.object(search, "_usable_cpus", lambda: 2):
+        nodes = search.find_delta3(config).stats.nodes
+    return nodes, pooled
 
 
 def fit(rows: list[dict]) -> dict:
@@ -108,33 +137,30 @@ def fit(rows: list[dict]) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ks", type=int, nargs="+", default=[6, 8, 9, 10, 12, 14])
-    parser.add_argument("--pairs", type=int, default=16)
-    parser.add_argument("--probes", type=int, default=8, help="rounds of the host probe")
     parser.add_argument("--json", help="also write every pair and the fit to this file")
     args = parser.parse_args()
 
     rows = []
-    for k in args.ks:
-        nodes, parent = split_nodes(k)
+    for k in KS:
+        nodes, pooled = pool_nodes(k)
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = (1, 2) if i % 2 == 0 else (2, 1)
             times = {jobs: sample_ms(k, jobs) for jobs in order}
             pairs.append([round(times[1], 1), round(times[2], 1)])
         t1 = statistics.median(p[0] for p in pairs)
         t2 = statistics.median(p[1] for p in pairs)
-        pool = (nodes - parent) / nodes
+        pool = pooled / nodes
         rows.append({
-            "k": k, "nodes": nodes, "pool_nodes": nodes - parent,
+            "k": k, "nodes": nodes, "pool_nodes": pooled,
             "jobs1_ms": round(t1, 1), "jobs2_ms": round(t2, 1),
             "x_ms": round(t1 * pool, 1), "y_ms": round(t2 - t1 * (1 - pool), 1),
             "pairs_ms": pairs,
         })
-        print(f"k={k}: {nodes} nodes, {nodes - parent} in the pool, "
+        print(f"k={k}: {nodes} nodes, {pooled} in the pool, "
               f"jobs=1 {t1:.1f} ms, jobs=2 {t2:.1f} ms", flush=True)
     result = fit(rows)
-    result["host_speedup"] = round(host_speedup(max(args.ks), args.probes), 2)
+    result["host_speedup"] = round(host_speedup(max(KS), PROBES), 2)
     print(json.dumps(result))
     if args.json:
         Path(args.json).write_text(json.dumps({"fit": result, "per_k": rows}, indent=1) + "\n")
