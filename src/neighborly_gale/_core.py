@@ -237,18 +237,21 @@ clip hi: a count past its sum cap and least masses leaves no child room
 past its floors, and ``floor_rests`` keeps every child's lo within them.
 
 A shard can start below the root and stop early, which splits one tree
-into pieces.  A path of diameters names a node; the running sums that the
-search would pass down to it (cofacets, vertices, masses, triangle counts,
-worst prefix differences, least tied rotations and pivot floors) are rebuilt
-from its labels, and the search starts there with the counts the node had
-open.  The root enters each of its first diameters (a_0, b_0) the same
-way, so every subtree starts from one rebuilt state.  The path's own nodes
-are not searched again, so none of them is counted twice, and no
-leaf of a count that ends on the path, which the self-call above evaluates,
-is evaluated twice.  With a node budget, once the shard has counted that
-many nodes, each child it would recurse into is recorded, with its path,
-its counts and the bound it passed its cuts at, instead of searched; the
-leaves of the loops already running are still evaluated.  The subtrees are
+into pieces.  A piece carries its node's state: the path of its diameters,
+and the running values that the search passes down to the node (cofacets,
+vertices, masses, triangle counts, worst prefix differences, least tied
+rotations, pivot floors and flags), worked out once, where the search
+creates the child.  The search starts there with the counts the node had
+open, and the path fills only the per-depth arrays.  The root starts each
+first diameter (a_0, b_0) from its trivial state.  So a path and state
+must be ones the search handed back: the floors above hold only on the
+prefixes it reaches from the root.  The path's own nodes are not searched
+again, so none of them is counted twice, and no leaf of a count that ends
+on the path, which the self-call above evaluates, is evaluated twice.
+With a node budget, once the shard has counted that many nodes, each
+child it would recurse into is recorded, with its path, state, counts and
+the bound it passed its cuts at, instead of searched; the leaves of the
+loops already running are still evaluated.  The subtrees are
 recorded in depth-first order, after every leaf the shard has evaluated, so
 without a bound the shard and its subtrees, searched in that order, evaluate
 the tree's leaves in the tree's own order.  Under a fixed bound the shard
@@ -415,6 +418,7 @@ def run_shard(
     bound: int | None,
     n_last: int | None = None,
     path: tuple[int, ...] = (),
+    state: tuple = (),
     budget: int | None = None,
     opened: list | None = None,
 ) -> ShardResult:
@@ -431,17 +435,18 @@ def run_shard(
     0, so ``n`` must be >= 2.
 
     ``path``, the labels of a prefix of diameters starting with ``first_a``
-    (front labels, then back labels, as in a leaf), searches only the
-    subtree of the node it leads to, with ``n`` and ``n_last`` the counts
-    that node has open; the path's own nodes are not searched again.  With
-    a ``budget`` of nodes, every child that the search would recurse into
-    once it has counted that many nodes is appended to ``opened`` instead,
-    as the ``run_shard`` arguments of its subtree: its path, the counts it
-    has open and the bound it passed its cuts at.  The path must name a node
-    that the search reaches from the root, as every piece does: only on
-    such a prefix does the least tied rotation set the largest floor, and
-    only there does the leaf skip exactly the canonicality checks that would
-    pass.  See the module docstring.
+    (front labels, then back labels, as in a leaf), and ``state``, the 16
+    running values of its node, search only the subtree of that node, with
+    ``n`` and ``n_last`` the counts it has open; the path's own nodes are
+    not searched again.  With a ``budget`` of nodes, every child that the
+    search would recurse into once it has counted that many nodes is
+    appended to ``opened`` instead, as the ``run_shard`` arguments of its
+    subtree: its counts, the bound it passed its cuts at, its path and its
+    state.  A path and state must be ones the search handed back, as every
+    piece's are: the state is not checked against the path, and only on a
+    prefix the search reaches from the root does the least tied rotation
+    set the largest floor and the leaf skip exactly the canonicality checks
+    that would pass.  See the module docstring.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -452,6 +457,8 @@ def run_shard(
     depth = len(path) // 2
     if path and (len(path) % 2 or path[0] != first_a or n <= depth):
         raise ParameterError(f"path {path} must start at a0 = {first_a}, below count n = {n}")
+    if len(state) != (16 if path else 0):
+        raise ParameterError(f"a path needs its node's 16 running values, the root none: {state}")
     if budget is None:
         budget = 1 << 62  # never spent
     elif opened is None:
@@ -785,85 +792,76 @@ def run_shard(
                 if last:
                     leaf(lo, f_child, s_child, code == r1 or fcode == r2)
                     continue
-                if nodes >= budget:
-                    # spent: hand the child's subtree back with its counts
-                    opened.append((
-                        k, c_lo, first_a, level, sum_cap, label_cap, best, c_hi,
-                        tuple(av[: t + 1] + bv[: t + 1]),
-                    ))
-                    continue
-
+                # the child's running values, for its subtree here or in a
+                # piece.  A child on the floor r1 keeps the least tied
+                # rotation, or starts one at t when none is tied; above it,
+                # every tied rotation dies and none starts (so for r2).  The
+                # pivots at t - 1 that read the prefix back floor the last
+                # diameter at this child's code; the child's own pivots at t
+                # read it back when they start at c_0 and tie (rv0, rv1)
                 saa = sa + a
                 sbb = sb + b
                 nmf = mf if mf >= saa - sb else saa - sb
                 nmb = mb if mb >= sbb - sa else sbb - sa
-                # a child on the floor r1 keeps the least tied rotation, or
-                # starts one at t when none is tied; above it, every tied
-                # rotation dies and none starts (so for r2).  The pivots at
-                # t - 1 that read the prefix back floor the last diameter at
-                # this child's code; the child's own pivots at t read it back
-                # when they start at c_0 and tie (rv0, rv1)
+                np0 = (p0 or t) if code == r1 else 0
+                np1 = (p1 or t) if fcode == r2 else 0
+                nsym = sym and a == b
+                nrot = rot or fcodes[t - 1] - code
+                nq1 = code if fp and code > q1 else q1
+                nq2 = code if cp and code > q2 else q2
+                ncp = code == d0c and rv0
+                nfp = fcode == d0c and rv1
+                if nodes >= budget:
+                    # spent: hand the child's subtree back with its counts and state
+                    opened.append((
+                        k, c_lo, first_a, level, sum_cap, label_cap, best, c_hi,
+                        tuple(av[: t + 1] + bv[: t + 1]),
+                        (s_child, f_child, saa, sbb, nxa, nxb, nmf, nmb,
+                         np0, np1, nsym, nrot, nq1, nq2, ncp, nfp),
+                    ))
+                    continue
                 dfs(t + 1, c_lo, c_hi, s_child, f_child, saa, sbb, nxa, nxb, nmf, nmb,
-                    (p0 or t) if code == r1 else 0, (p1 or t) if fcode == r2 else 0,
-                    sym and a == b, rot or fcodes[t - 1] - code,
-                    code if fp and code > q1 else q1, code if cp and code > q2 else q2,
-                    code == d0c and rv0, fcode == d0c and rv1)
+                    np0, np1, nsym, nrot, nq1, nq2, ncp, nfp)
 
-    def enter(path: tuple[int, ...], lo: int, hi: int) -> None:
-        # search the subtree of the node that the path leads to, with the
-        # running sums that dfs would pass down to it, rebuilt from its labels
+    def enter(path: tuple[int, ...], lo: int, hi: int, state: tuple) -> None:
+        # search the subtree of the node that the path leads to, from the
+        # running values the search handed back with it; the path fills the
+        # per-depth arrays of the diameters before it
         depth = len(path) // 2
-        s_run = f_run = sa = sb = xa = xb = mf = mb = p0 = p1 = rot = q1 = q2 = 0
-        sym = True
-        cp = fp = False
+        x = 0  # A_{t-1} - B_{t-1}
         for t in range(depth):
-            a = path[t]
-            b = path[depth + t]
-            av[t] = a
-            bv[t] = b
-            code = codes[t] = a * K + b
-            fcode = fcodes[t] = b * K + a
-            f_run += a * xa + a * b + b * xb
-            s_run += a + b
-            xa, xb = xa + b * sa, xb + a * sb
-            mf = mfs[t + 1] = max(mf, sa + a - sb)
-            mb = mbs[t + 1] = max(mb, sb + b - sa)
-            sa += a
-            sb += b
-            sym = sym and a == b
-            if cp and code > q2:
-                q2 = code
-            if fp and code > q1:
-                q1 = code
-            cp = codes[t::-1] == codes[: t + 1]
-            fp = fcodes[t::-1] == codes[: t + 1]
-            if t:  # rotation 0 is the identity itself
-                p0 = p0 if p0 and code == codes[t - p0] else t if code == codes[0] else 0
-                p1 = p1 if p1 and fcode == codes[t - p1] else t if fcode == codes[0] else 0
-                rot = rot or fcodes[t - 1] - code
-        dfs(depth, lo, hi, s_run, f_run, sa, sb, xa, xb, mf, mb, p0, p1, sym, rot, q1, q2, cp, fp)
+            a = av[t] = path[t]
+            b = bv[t] = path[depth + t]
+            codes[t] = a * K + b
+            fcodes[t] = b * K + a
+            mfs[t + 1] = max(mfs[t], x + a)  # D_t = A_t - B_{t-1}
+            mbs[t + 1] = max(mbs[t], b - x)  # E_t = B_t - A_{t-1}
+            x += a - b
+        dfs(depth, lo, hi, *state)
 
     if path:
-        enter(path, n, n_last)
-        # dfs reaches itself through its closure: clearing that cell frees the
-        # shard's arrays on return, not at the next cyclic garbage collection
-        dfs = None
-        return ShardResult(n, first_a, leaves, nodes, len(leaves))
-
-    # at t = 0 the pair-flipped view forces a_0 <= b_0; the shard fixes a_0
-    a0 = first_a
-    for b0 in range(a0 if a0 > 0 else 1, label_cap + 1):
-        # every later diameter carries mass
-        hi = sum_cap - a0 - b0 + 1
-        if not a0 and b0 > 1:
-            hi = 1 + (sum_cap - b0) // 2  # two units each
-        if hi < n:
-            break
-        if hi > n_last:
-            hi = n_last
-        if nodes >= budget:
-            opened.append((k, n, a0, level, sum_cap, label_cap, best, hi, (a0, b0)))
-            continue
-        enter((a0, b0), n, hi)
-    dfs = None  # as above
+        enter(path, n, n_last, state)
+    else:
+        # at t = 0 the pair-flipped view forces a_0 <= b_0; the shard fixes a_0
+        a0 = first_a
+        for b0 in range(a0 if a0 > 0 else 1, label_cap + 1):
+            # every later diameter carries mass
+            hi = sum_cap - a0 - b0 + 1
+            if not a0 and b0 > 1:
+                hi = 1 + (sum_cap - b0) // 2  # two units each
+            if hi < n:
+                break
+            if hi > n_last:
+                hi = n_last
+            # the depth-1 node: D_0 = a0, E_0 = b0, its c-pivot at 0 reads it
+            # back, and its flip and f-pivot tie while a0 = b0
+            sym = a0 == b0
+            state = (a0 + b0, a0 * b0, a0, b0, 0, 0, a0, b0, 0, 0, sym, 0, 0, 0, True, sym)
+            if nodes >= budget:
+                opened.append((k, n, a0, level, sum_cap, label_cap, best, hi, (a0, b0), state))
+                continue
+            enter((a0, b0), n, hi, state)
+    # dfs reaches itself through its closure: clearing that cell frees the
+    # shard's arrays on return, not at the next cyclic garbage collection
+    dfs = None
     return ShardResult(n, first_a, leaves, nodes, len(leaves))

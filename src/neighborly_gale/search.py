@@ -41,9 +41,9 @@ Both searches split their shards into pieces, the idea of cube and conquer
 all of the marcus proof, and a whole stream shard would hold all of its
 leaves at once.  A piece is a ``run_shard`` call with a budget of
 ``PIECE_NODES`` nodes; once it is spent, the piece hands back the subtrees
-it has not entered, in depth-first order, each with the bound it was cut
-with.  The parent runs pieces off the front of a queue and puts the pieces
-handed back at the front.
+it has not entered, in depth-first order, each with its node's path and
+running values and the bound it was cut with.  The parent runs pieces off
+the front of a queue and puts the pieces handed back at the front.
 
 Where a piece runs is a rent-or-buy choice.  While no pool runs, the
 parent runs the pieces itself, all of them at ``jobs`` = 1, so the stream
@@ -191,7 +191,7 @@ def _shard_args(config: SearchConfig, bound: int | None) -> list[tuple]:
     """``run_shard`` arguments of every one-count shard (n, a0), in stream order."""
     sum_cap = _sum_cap(config)
     return [
-        (config.k, n, first, config.prune_level, sum_cap, _label_cap(config, n), bound, n, ())
+        (config.k, n, first, config.prune_level, sum_cap, _label_cap(config, n), bound, n, (), ())
         for n in _n_range(config)
         for first in range(_label_cap(config, n) + 1)
     ]
@@ -201,14 +201,14 @@ def _run_args(config: SearchConfig, bound: int | None) -> list[tuple]:
     """``run_shard`` arguments of one shard per first label a0 and run of counts.
 
     A run is a maximal range n..n_last of diameter counts with one label cap;
-    its shard searches all of them in one tree, from the root (empty path).
+    its shard searches all of them in one tree, from the root (no path or state).
     """
-    sum_cap = _sum_cap(config)
+    k, level, sum_cap = config.k, config.prune_level, _sum_cap(config)
     args = []
     for cap, run in groupby(_n_range(config), lambda n: _label_cap(config, n)):
         counts = list(run)
         args += [
-            (config.k, counts[0], first, config.prune_level, sum_cap, cap, bound, counts[-1], ())
+            (k, counts[0], first, level, sum_cap, cap, bound, counts[-1], (), ())
             for first in range(cap + 1)
         ]
     return args

@@ -252,18 +252,21 @@ def _padded(labels, n):
 def _children(labels, k, level):
     """The paths of the children that the ``level`` search creates at the prefix ``labels``.
 
-    The node is searched as the start of a piece at count t + 2, so its state
-    comes from the path rebuild, and a budget of 0 hands back every child it
+    The node is searched as the start of a piece at count t + 2, under a
+    label cap of its own, so its state comes from ``node_state`` (its codes
+    are in base cap + 1), and a budget of 0 hands back every child it
     would recurse into.  With no bound, a sum cap that binds nothing and
     labels up to ``cap`` > every prefix label, a node at ``marcus`` has
     every child that adjacency and symmetry allow, (cap, cap) among them.
     """
     t = len(labels) // 2
     cap = max(k + 1, *labels) + 1
+    labels = tuple(labels)
+    state = node_state(labels, cap)
     opened = []
-    shard = run_shard(k, t + 2, labels[0], level, 1000, cap, None, t + 2, tuple(labels), 0, opened)
+    shard = run_shard(k, t + 2, labels[0], level, 1000, cap, None, t + 2, labels, state, 0, opened)
     assert shard.nodes == 1 and not shard.leaves
-    return [piece[-1] for piece in opened]
+    return [piece[8] for piece in opened]
 
 
 def _newest_tight(path, k):
@@ -406,9 +409,9 @@ def _walk(k, level, sum_cap):
     """(args, shard, children) of every node of the space's one-count shards.
 
     Each node is searched as a piece of its own with a budget of no nodes,
-    so its state comes from the path rebuild, and it hands back the paths
-    of the children it would recurse into; a node of the last diameter
-    evaluates its leaves.  The roots come first, with empty paths.
+    from the path and state its parent handed back, and it hands back the
+    paths of the children it would recurse into; a node of the last
+    diameter evaluates its leaves.  The roots come first, with empty paths.
     """
     pending = _shard_args(SearchConfig(k=k, prune_level=level, sum_cap=sum_cap), None)
     nodes = []
@@ -416,7 +419,7 @@ def _walk(k, level, sum_cap):
         args = pending.pop()
         opened = []
         shard = run_shard(*args, 0, opened)
-        nodes.append((args, shard, [piece[-1] for piece in opened]))
+        nodes.append((args, shard, [piece[8] for piece in opened]))
         pending += opened
     return nodes
 
@@ -544,14 +547,14 @@ class TestLastDiameterCuts:
         p = k + 1
         checked = 0
         for args, shard, children in _walk(k, level, sum_cap):
-            n, first, cap, path = args[1], args[2], args[5], args[8]
+            n, first, cap, path, state = args[1], args[2], args[5], args[8], args[9]
             t = len(path) // 2
             r = n - t - 1  # the diameters after a child
             if not path or r < 1 or r > 5:
                 continue
             opened = []
-            run_shard(k, n, first, level, 1000, cap, None, n, path, 0, opened)
-            free = [piece[-1] for piece in opened]
+            run_shard(k, n, first, level, 1000, cap, None, n, path, state, 0, opened)
+            free = [piece[8] for piece in opened]
             _, s, sa, sb, _, _, mf, mb = prefix_state(path[:t], path[t:])
             if max(p - sa + mf, 0) + max(p - sb + mb, 0) > sum_cap - s:
                 assert children == [], args
@@ -575,14 +578,14 @@ class TestLastDiameterCuts:
         # reads f_0 < c_1, so that the last diameter is not c_0
         two = below = 0
         for args, _, children in _walk(k, level, sum_cap):
-            n, first, cap, path = args[1], args[2], args[5], args[8]
+            n, first, cap, path, state = args[1], args[2], args[5], args[8], args[9]
             u = len(path) // 2 + 1  # the diameters of a child
             r = n - u
             if r < 1 or r > 4:
                 continue
             opened = []
-            run_shard(k, n, first, level, 1000, cap, None, n, path, 0, opened)
-            for c in [piece[-1] for piece in opened]:
+            run_shard(k, n, first, level, 1000, cap, None, n, path, state, 0, opened)
+            for c in [piece[8] for piece in opened]:
                 if c in children or sum(c) + r > sum_cap:
                     continue
                 front, back = c[:u], c[u:]
@@ -905,6 +908,69 @@ def prefix_state(front, back):
     return f, sum(front) + sum(back), sum(front), sum(back), xa, xb, mf, mb
 
 
+def node_state(path, label_cap):
+    """The 16 running values of the node ``path``, from its labels alone.
+
+    The reference for the state a piece carries, in ``dfs``'s order (s, f,
+    sa, sb, xa, xb, mf, mb, p0, p1, sym, rot, q1, q2, cp, fp), written from
+    the ``_core`` docstring's definitions: ``prefix_state`` gives the sums;
+    with c and fc the codes of (a_s, b_s) and (b_s, a_s) in base
+    K = label_cap + 1, p0 (p1) is the least j >= 1 whose rotation reads
+    c_j.. (fc_j..) = c_0.. through the prefix, or 0; rot is the first
+    nonzero fc_{i-1} - c_i, or 0; q1 (q2) is the largest c_{i+1}, i <= t - 2,
+    whose f-pivot (c-pivot) at i reads the prefix back, or 0; and sym, cp
+    and fp say that the flipped prefix, the reversed prefix and the
+    reversed flipped prefix read the prefix itself.
+    """
+    t = len(path) // 2
+    front, back = path[:t], path[t:]
+    f, s, sa, sb, xa, xb, mf, mb = prefix_state(front, back)
+    K = label_cap + 1
+    c = [a * K + b for a, b in zip(front, back)]
+    fc = [b * K + a for a, b in zip(front, back)]
+    p0 = next((j for j in range(1, t) if c[j:] == c[: t - j]), 0)
+    p1 = next((j for j in range(1, t) if fc[j:] == c[: t - j]), 0)
+    rot = next((d for d in (fc[i - 1] - c[i] for i in range(1, t)) if d), 0)
+    q1 = max((c[i + 1] for i in range(t - 1) if fc[i::-1] == c[: i + 1]), default=0)
+    q2 = max((c[i + 1] for i in range(t - 1) if c[i::-1] == c[: i + 1]), default=0)
+    return s, f, sa, sb, xa, xb, mf, mb, p0, p1, fc == c, rot, q1, q2, c[::-1] == c, fc[::-1] == c
+
+
+class TestPieceState:
+    # a piece starts from the running values the search handed back with
+    # it, and only its per-depth arrays come from its path: each piece's
+    # state must be its node's state by definition
+
+    @pytest.mark.parametrize("k,level,sum_cap", WALKED)
+    def test_every_walked_node_carries_its_state(self, k, level, sum_cap):
+        checked = 0
+        for args, _, _ in _walk(k, level, sum_cap):
+            path, state = args[8], args[9]
+            if path:
+                assert state == node_state(path, args[5]), args
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("level", PRUNE_LEVELS)
+    @pytest.mark.parametrize("k", [7, 9])
+    def test_proof_pieces_carry_their_state(self, k, level, monkeypatch):
+        # pieces of 50 nodes, handed back at every depth of the proof
+        config = SearchConfig(k=k, prune_level=level)
+        pieces = []
+
+        def spied(*args):
+            pieces.append(args)
+            return run_shard(*args)
+
+        monkeypatch.setattr(search, "run_shard", spied)
+        _split(config, 50)
+        carried = [args for args in pieces if args[8]]
+        for args in carried:
+            assert args[9] == node_state(args[8], args[5]), args
+        assert len(carried) > 20
+        assert max(len(args[8]) for args in carried) > 4
+
+
 def least_completion_gap(front, back, n, k):
     """Least gap over the marcus leaves that extend the prefix, or None."""
     cap = k + 1
@@ -1144,7 +1210,7 @@ class TestRunShards:
         gc.disable()
         try:
             run_shard(2, 4, 0, "marcus", 12, 3, None)
-            run_shard(2, 4, 0, "marcus", 12, 3, None, 5, (0, 1))
+            run_shard(2, 4, 0, "marcus", 12, 3, None, 5, (0, 1), node_state((0, 1), 3))
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -1353,7 +1419,8 @@ class TestPieces:
     def test_budget_of_one_node_is_exact_at_minimality_cuts(self, monkeypatch):
         # with a budget of one node every child starts a piece of its own,
         # and the minimality test of its first node reads the worst prefix
-        # differences that the path rebuilt.  The bound is fixed (k >= 4),
+        # differences that the piece carried and the path filled in per
+        # depth.  The bound is fixed (k >= 4),
         # so a piece is the same piece at marcus, with the leaves that are
         # not minimal and the children whose new labels can already be
         # decremented dropped, unless its prefix is not minimal: then it is
@@ -1366,14 +1433,14 @@ class TestPieces:
         def spied(*args):
             nonlocal cut
             shard = run_shard(*args)
-            path, opened = args[8], args[10]
+            path, opened = args[8], args[11]
             if is_minimal_cycle(_padded(path, len(path) // 2 + 1), k):
                 at_marcus = []
-                marcus = run_shard(*args[:3], "marcus", *args[4:10], at_marcus)
+                marcus = run_shard(*args[:3], "marcus", *args[4:11], at_marcus)
                 assert opened == [
                     (*piece[:3], "minimal", *piece[4:])
                     for piece in at_marcus
-                    if _newest_tight(piece[-1], k)
+                    if _newest_tight(piece[8], k)
                 ]
                 assert shard.leaves == [leaf for leaf in marcus.leaves if is_minimal_cycle(leaf[0], k)]
             else:
@@ -1387,14 +1454,22 @@ class TestPieces:
         assert cut > 100
 
     def test_path_and_budget_are_checked(self):
+        state = (0,) * 16  # enough running values, so each call fails at its path
         with pytest.raises(ParameterError):
-            run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, (1, 1))  # path leaves a0
+            run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, (1, 1), state)  # path leaves a0
         with pytest.raises(ParameterError):
-            run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, (0, 1, 1))  # half a diameter
+            run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, (0, 1, 1), state)  # half a diameter
         with pytest.raises(ParameterError):
-            run_shard(4, 2, 0, "marcus", 20, 5, 30, 9, (0, 1, 1, 1))  # count <= depth
+            run_shard(4, 2, 0, "marcus", 20, 5, 30, 9, (0, 1, 1, 1), state)  # count <= depth
         with pytest.raises(ParameterError):
-            run_shard(4, 2, 0, "marcus", 20, 5, 30, 9, (), 10)  # no opened list
+            run_shard(4, 2, 0, "marcus", 20, 5, 30, 9, (), (), 10)  # no opened list
+        # a piece's path and state go together, the state as 16 values
+        path = (0, 1)
+        state = node_state(path, 5)
+        for bad in ((path, ()), ((), state), (path, state[:15]), (path, state + (0,))):
+            with pytest.raises(ParameterError, match="16 running values"):
+                run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, *bad)
+        run_shard(4, 5, 0, "marcus", 20, 5, 30, 9, path, state)  # a valid piece
 
     def test_pieces_count_the_shard_calls(self, monkeypatch):
         calls = []
@@ -1423,7 +1498,7 @@ class TestPieces:
 
         def spied(*args):
             shard = run_shard(*args)
-            runs.append((args[9], shard.nodes))
+            runs.append((args[10], shard.nodes))
             return shard
 
         monkeypatch.setattr(search, "run_shard", spied)
@@ -1486,8 +1561,8 @@ class TestPieces:
         # its shard in depth-first order: pieces of one node yield the
         # default stream and search the nodes of the whole shards.  Many
         # pieces start below reversals that read their prefix back, whose
-        # floors at the last diameter come from the path rebuild: the rebuilt
-        # pivot floors and flags must equal the running ones at every depth
+        # floors at the last diameter come from the state the piece carries:
+        # it must hold the pivot floors and flags the search had there
         config = SearchConfig(k=k, prune_level=level, sum_cap=sum_cap)
         whole = [run_shard(*args) for args in _shard_args(config, None)]
         pieces = []
