@@ -58,9 +58,11 @@ def triangle_contains_origin(a: int, b: int, c: int, n: int) -> bool:
     """
     require_ints(a=a, b=b, c=c, n=n)
     _require_polygon(n)
-    pa = _point_on_circle(a, n)
-    pb = _point_on_circle(b, n)
-    pc = _point_on_circle(c, n)
+    return _contains_origin(_point_on_circle(a, n), _point_on_circle(b, n), _point_on_circle(c, n))
+
+
+def _contains_origin(pa: PlanarPoint, pb: PlanarPoint, pc: PlanarPoint) -> bool:
+    """The strict orientation test of ``triangle_contains_origin`` on its points."""
     d1 = _cross(pa, pb)
     d2 = _cross(pb, pc)
     d3 = _cross(pc, pa)
@@ -75,13 +77,18 @@ _triangle_table: dict[int, frozenset[tuple[int, int, int]]] = {}
 
 
 def _valid_triangles(n: int) -> frozenset[tuple[int, int, int]]:
-    """All ascending position triples containing the origin, cached per n."""
+    """All ascending position triples containing the origin, cached per n.
+
+    The 2n points are placed once per n, and each triple is decided on them
+    by the same strict orientation test as ``triangle_contains_origin``.
+    """
     table = _triangle_table.get(n)
     if table is None:
+        points = [_point_on_circle(i, n) for i in range(2 * n)]
         table = frozenset(
             t
-            for t in combinations(range(2 * n), 3)
-            if triangle_contains_origin(*t, n=n)
+            for t, triangle in zip(combinations(range(2 * n), 3), combinations(points, 3))
+            if _contains_origin(*triangle)
         )
         _triangle_table[n] = table
     return table

@@ -55,7 +55,9 @@ and more than one piece is pending, and starts a pool for the pieces left;
 running, as in a ``verify_theorem1`` sweep, sends it every piece.  The
 pending pieces stay in the parent, and a pool task runs every piece it
 carries.  The split counts nodes alone, so the pieces, and every count in
-``SearchStats``, are the same at every ``jobs``.
+``SearchStats``, are the same at every ``jobs``.  ``multiprocessing`` is
+imported with the first pool: a process that starts none, as one that
+only runs streams, never imports it.
 """
 from __future__ import annotations
 
@@ -67,7 +69,6 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from itertools import groupby
-from multiprocessing import Pool
 
 from ._core import ShardResult, run_shard
 from .constructions import build_example1
@@ -255,7 +256,9 @@ class _Workers:
     ``jobs`` is capped at the CPUs this process may run on, so on one CPU
     every search stays in process.  The pool never gets more workers than
     the pieces pending when it starts, and it is stopped, its workers
-    joined, when the ``with`` block ends.
+    joined, when the ``with`` block ends.  ``start`` imports
+    ``multiprocessing`` itself: the import is part of the pool's fixed
+    cost, and a search that starts no pool does not pay it.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -273,6 +276,8 @@ class _Workers:
 
     def start(self, pending: int):
         if self.pool is None:
+            from multiprocessing import Pool
+
             self.size = min(self.jobs, pending)
             self.pool = Pool(processes=self.size)
         return self.pool

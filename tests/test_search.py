@@ -6,6 +6,9 @@ import json
 import multiprocessing.pool
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import time
 from functools import cache
 from itertools import islice, product
@@ -1366,7 +1369,7 @@ def _inline_pools(monkeypatch) -> list[int]:
     """Record the ``processes`` of every pool, run on two usable CPUs."""
     started: list[int] = []
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search, "Pool", lambda processes: _InlinePool(processes, started))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: _InlinePool(processes, started))
     return started
 
 
@@ -1633,6 +1636,67 @@ class TestPieces:
         assert all(pooled for k, pooled, _ in runs if k > bought)
 
 
+def _in_fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter that imports this checkout's package.
+
+    ``-I -S`` keeps out the environment, the user's site and its ``.pth``
+    hooks, so every module loaded is loaded by the code.  The code prints
+    one JSON value, which is returned.
+    """
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    prelude = f"import json, sys\nsys.path.insert(0, {src!r})\n"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", prelude + textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestStartUp:
+    """A process imports ``multiprocessing`` only when it starts a pool."""
+
+    def test_searches_in_process_never_import_multiprocessing(self):
+        # marcus k = 8 ends within POOL_NODES, so even at jobs=2 it starts
+        # no pool, and a stream never starts one
+        out = _in_fresh_interpreter("""
+            import neighborly_gale, neighborly_gale.cli
+            from neighborly_gale.search import SearchConfig, enumerate_diagrams, find_delta3
+
+            find_delta3(SearchConfig(k=8, prune_level="marcus", jobs=2))
+            config = SearchConfig(k=2, prune_level="minimal", sum_cap=15)
+            emitted = sum(1 for _ in enumerate_diagrams(config))
+            print(json.dumps([emitted, "multiprocessing" in sys.modules]))
+        """)
+        assert out == [30, False]
+
+    @pytest.mark.skipif(search._usable_cpus() < 2, reason="a pool needs two usable CPUs")
+    def test_first_pool_imports_multiprocessing(self):
+        # with POOL_NODES = 1 the parent buys the pool at once: the search
+        # loads the module then, returns the jobs=1 result, and leaves no
+        # worker behind
+        out = _in_fresh_interpreter("""
+            from neighborly_gale import search
+
+            def counts(jobs):
+                config = search.SearchConfig(k=6, prune_level="marcus", emit_all=True, jobs=jobs)
+                result = search.find_delta3(config)
+                stats = result.stats
+                counted = (result.delta3, result.witnesses, stats.nodes, stats.evaluated, stats.pieces)
+                return [repr(counted), "multiprocessing" in sys.modules]
+
+            serial = counts(1)
+            search.POOL_NODES = 1
+            parallel = counts(2)
+            import multiprocessing
+            print(json.dumps([serial, parallel, multiprocessing.active_children()]))
+        """)
+        serial, parallel, workers = out
+        assert serial[1] is False and parallel[1] is True
+        assert parallel[0] == serial[0]
+        assert workers == []
+
+
 class TestVerifyTheorem1:
     def test_through_k3(self):
         rows = verify_theorem1(3)
@@ -1776,7 +1840,7 @@ def _count_pools(monkeypatch) -> list[int]:
         started.append(processes)
         return Pool(processes=processes)
 
-    monkeypatch.setattr(search, "Pool", counted)
+    monkeypatch.setattr(multiprocessing, "Pool", counted)
     return started
 
 
@@ -1790,7 +1854,7 @@ def _record_tasks(monkeypatch) -> list[list[tuple]]:
             return super().apply_async(func, args, *rest, **kwargs)
 
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search, "Pool", Recording)
+    monkeypatch.setattr(multiprocessing, "Pool", Recording)
     return tasks
 
 

@@ -15,8 +15,12 @@ share of the k's nodes that the pool runs (taken from the search itself,
 with each pool task run in process), x = t1 * pool is the in-process
 time of the pool's nodes and y = t2 - t1 * (1 - pool) the time the pool
 took for them.  A least-squares line y = C + x / s over the ks gives the
-pool's fixed cost C (start, warm-up, round trips, teardown) and the speed-up
-s of its workers.  The time per node is the sum of t1 over the sum of nodes.
+pool's fixed cost C (the ``multiprocessing`` import, start, warm-up, round
+trips, teardown) and the speed-up s of its workers.  A process that starts
+no pool never imports ``multiprocessing``, so the jobs=2 samples pay that
+import and the jobs=1 samples do not; ``POOL_NODES`` = 12,100 was fitted
+while the package still imported it at start-up, so a re-fit now sees a
+larger C.  The time per node is the sum of t1 over the sum of nodes.
 The break-even of rent or buy is C s / (s - 1) (Karlin, Manasse, Rudolph,
 Sleator, "Competitive snoopy caching", Algorithmica 3, 1988), printed in ms
 and in nodes.  Last, two jobs=1 searches of the largest k run at once and
@@ -110,7 +114,7 @@ def pool_nodes(k: int) -> tuple[int, int]:
             pass
 
     config = search.SearchConfig(k=k, prune_level="marcus", jobs=2)
-    with patch.object(search, "Pool", InlinePool), patch.object(search, "POOL_NODES", 1), \
+    with patch("multiprocessing.Pool", InlinePool), patch.object(search, "POOL_NODES", 1), \
             patch.object(search, "_usable_cpus", lambda: 2):
         nodes = search.find_delta3(config).stats.nodes
     return nodes, pooled
