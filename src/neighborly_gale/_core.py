@@ -55,47 +55,57 @@ and the search tests each child of that a on its own.  Before its floor,
 a child whose deficits force more mass than its open diameters may hold
 is cut: its own deficit test would return at once.
 
-At the ``minimal`` and ``extremal`` levels a node is cut when one of its
-labels can already be decremented: every semicircle holding it sums to
-more than p = k+1 with the unassigned diameters read as 0.  Later
+At the ``minimal`` and ``extremal`` levels the search creates no node one
+of whose labels can already be decremented: every semicircle holding it
+sums to more than p = k+1 with the unassigned diameters read as 0.  Later
 diameters only add semicircle mass, so the label stays decrementable in
-every completion, and the whole subtree is cut.  The test reads the
-DFS's own sums.  With A_i and B_i the front and back masses of diameters
-0..i, let D_j = A_j - B_{j-1}, which mf maximises, and E_u = B_u - A_{u-1},
-which mb maximises.  The semicircle clockwise of front position j < t
-sums sa - D_j, and the one clockwise of back position u < t sums sb - E_u;
-past the prefix, the one of back position u >= t sums sa and the one of
-front position j >= t sums sb.  A front label a_i lies in the semicircles
-of front positions j < i and back positions u > i.  So with fa = sa - p
-and fb = sb - p, it can be decremented iff a_i > 0, fa > 0, D_j < fa for
-every j < i and E_u < fb for every i < u < t.  A back label b_i can iff
-b_i > 0, fb > 0, E_u < fb for every u < i and D_j < fa for every
-i < j < t.  The maxima over j < i are the mf and mb of depth i, which the
-search keeps per depth, and one backward loop over i < t carries the
-maxima over (i, t) and decides the node.  A node with fa <= 0 and
-fb <= 0 has no such label and skips the loop.  In the loop the terms
-fa > 0 and fb > 0 go without saying.  Say fa <= 0 < fb and a front label
-a_i passes the other terms.  Then i = t - 1, since E_{t-1} = sb - A_{t-2}
->= sb - sa >= fb fails the test for every i < t - 1, and t = 1, since
-D_0 = a_0 >= 0 >= fa fails it for every i >= 1.  So b_0 = sb exceeds p,
-lies only in the semicircles past the prefix, and passes the back test:
-the node is cut either way.  A back label with fb <= 0 < fa is the
-mirror case.  The leaf runs ``diagram.is_minimal_cycle``, the definition,
-on its whole cycle.
+every completion, and no leaf below the node is minimal.  With A_i and B_i
+the front and back masses of diameters 0..i, let D_j = A_j - B_{j-1},
+which mf maximises, and E_u = B_u - A_{u-1}, which mb maximises.  In a
+prefix of t diameters with masses sa and sb, the semicircle clockwise of
+front position j < t sums sa - D_j, and the one clockwise of back position
+u < t sums sb - E_u; past the prefix, the one of back position u >= t
+sums sa and the one of front position j >= t sums sb.  A front label a_i
+lies in the semicircles of front positions j < i and back positions
+u > i.  So with fa = sa - p and fb = sb - p, it can be decremented iff
+a_i > 0, fa > 0, D_j < fa for every j < i and E_u < fb for every
+i < u < t.  A back label b_i can iff b_i > 0, fb > 0, E_u < fb for every
+u < i and D_j < fa for every i < j < t.  The maxima over j < i are the
+mf and mb of depth i, mfs_i and mbs_i, which the search keeps per depth
+(the maximum of no values, at i = 0, reads as minus infinity).
 
-The same test bounds a node's children, which it would otherwise create
-only to cut.  Let d_front = p - sa + mf and d_back = p - sb + mb be the
-node's deficits, at depth t >= 1, so mf >= a_0 >= 0.  The new front label
-a of child (a, b) lies in the semicircles of front positions j < t, which
-sum sa + a - D_j, and in those past the child's prefix, which sum sa + a.
-When a > max(d_front, 0), a is positive and every one of them exceeds p,
-so a can be decremented in every completion: the child's own test cuts it
-at once, at i = t, whose check mf < sa + a - p is its first and has no
-diameter after i to read.  The back label b and d_back are the
-mirror case.  So the front label loop ends at max(d_front, 0) and the b
-range at max(d_back, 0).  At the last diameter the floors a >= d_front and
-b >= d_back meet these ceilings.  The node test stays for the older
-labels, which the new diameter's mass may make decrementable.
+The parent decides this for each child (a, b) of its node at depth t
+before it creates the child.  The child's prefix has masses sa + a and
+sb + b and two more terms, D_t = sa + a - sb and E_t = sb + b - sa.  Its
+new front label a can be decremented iff a > 0 and a > mf - fa, that is
+a > max(d_front, 0) with d_front = p - sa + mf, the node's front deficit
+(mf >= a_0 >= 0 for t >= 1); the back label b and d_back = p - sb + mb are
+the mirror case.  So the front label loop ends at max(d_front, 0) and the
+b range at max(d_back, 0).  At the last diameter the floors a >= d_front
+and b >= d_back meet these ceilings.  An older front label a_i > 0, i < t,
+needs E_t < sb + b - p, which reads sa > p: the node's own masses decide
+it.  Given that, the child's fa + a > 0 goes without saying, D_j < fa + a
+for every j < i reads a > mfs_i - fa, and E_u < fb + b for every
+i < u < t reads b > max E_u - fb over those u.  So the label bars a
+quadrant of children, a > x and b > y.  An older back label b_i > 0 with
+sb > p bars the quadrant a > max D_j - fa over i < j < t, b > mbs_i - fb.
+As i falls, mfs_i and mbs_i do not rise and the maxima over (i, t) do not
+fall, so a front label's quadrant moves left and up, and a back label's
+right and down.  One backward loop over i builds them all, and it ends
+once the front quadrants' y reach the b ceiling and the back quadrants'
+x the a ceiling, since no quadrant after that holds a child.  Their union
+is a staircase: for a front label a the b range ends at the least y of
+the quadrants with x < a.  That ceiling only falls as a grows, so the
+ceiling at a bounds the b of every later front label too, as the front
+label break and ``front_floor``'s range ask.  The quadrants and the two
+ceilings are exact: a child avoids them all iff no label of its
+zero-padded prefix can be decremented.  So every node the search creates
+has a minimal padded prefix, and no node tests its own labels.  The leaf
+reads the same: its whole cycle has no semicircle past the prefix, but the
+terms fa > 0 and fb > 0 that those give follow from the others (from
+sa > p for an older front label, from mf >= 0 for the new one).  The leaf
+still runs ``diagram.is_minimal_cycle``, the definition, on its whole
+cycle.
 
 Symmetry breaking and emission keep one rule, the least of a cycle's
 rotations and of its reverse's, on two encodings.  ``diagram.least_image``
@@ -260,15 +270,14 @@ recorded subtree keeps its bound, which a leaf found later in another
 piece does not tighten: it may search nodes that the whole tree would have
 cut, and it keeps every leaf within the final bound.
 
-The minimality test of an inner node does not depend on the count.  The
+The minimality ceilings and staircase do not depend on the count.  The
 semicircles holding a positive label at front position i < t start at
 front positions 0..i-1 and back positions i+1..n-1.  Those that start
 inside the prefix sum sa - D_j and sb - E_u, which involve only assigned
 labels.  Those that start at back positions u >= t, at least one for
 every count n > t, all sum sa.  Padding the prefix to any n > t only
-repeats sa (sb for a back label) among those sums, so the test's terms
-fa > 0 and fb > 0, and whether the label can be decremented, stay the
-same.
+repeats sa (sb for a back label) among those sums, so the terms fa > 0
+and fb > 0, and whether the label can be decremented, stay the same.
 """
 from __future__ import annotations
 
@@ -476,7 +485,7 @@ def run_shard(
     K = label_cap + 1
     two_cap = 2 * label_cap  # the most mass one open diameter holds
     empty = -1 << 62  # the maximum of no values
-    mfs = [empty] * n_last  # the mf and mb of each depth, for the minimality test
+    mfs = [empty] * n_last  # the mf and mb of each depth, for the minimality staircase
     mbs = [empty] * n_last
 
     best = bound
@@ -553,54 +562,55 @@ def run_shard(
             lo += 1
         else:
             nodes += 1
-        # later diameters only add semicircle mass: a positive label whose
-        # every containing semicircle already sums to more than p can be
-        # decremented in every completion, so none of them is minimal.  A
-        # front label a_i > 0 can iff fa > 0, D_j < fa for j < i and
-        # E_u < fb for i < u < t; a back label b_i > 0 iff fb > 0, E_u < fb
-        # for u < i and D_j < fa for i < j < t.  Once fa > 0 or fb > 0 the
-        # other terms imply those two.  See the module docstring, also for
-        # why the test reads the same at every open count.
+        # worst semicircle deficits, which only later front (back) labels pay
+        d_front = p - sa + mf
+        d_back = p - sb + mb
+        df = d_front if d_front > 0 else 0
+        db = d_back if d_back > 0 else 0
+        if df + db > sum_cap - s_run or lo > hi:
+            return
+        a_top = b_top = label_cap  # the largest front and back label of a child
+        stair = ()  # no older label bars a child
         if want_minimal:
+            # a new front label above max(d_front, 0) can already be
+            # decremented in every completion; so can b above max(d_back, 0).
+            # Never create such a child (module docstring)
+            a_top = df if df < label_cap else label_cap
+            b_top = db if db < label_cap else label_cap
             mfs[t] = mf
             mbs[t] = mb
             if sa > p or sb > p:
+                # an older front label a_i > 0 can be decremented in child
+                # (a, b) iff fa > 0 (the child's E_t < fb + b), a > mfs[i] - fa
+                # and b > max E_u - fb over i < u < t; a back label b_i > 0
+                # iff fb > 0, b > mbs[i] - fb and a > max D_j - fa over
+                # i < j < t.  Each bars a quadrant (x, y) of children a > x,
+                # b > y.  As i falls, the maxima over (i, t) only rise, so
+                # once the front quadrants' y reach b_top and the back ones'
+                # x reach a_top, no later one holds a child (module docstring)
                 fa = sa - p  # the semicircles past the prefix sum sa and sb
                 fb = sb - p
+                me_top = fb + b_top if fa > 0 else empty
+                md_top = fa + a_top if fb > 0 else empty
+                stair = []
                 md = me = empty  # the maxima of D_j and E_j over i < j < t
                 x = sa - sb  # A_i - B_i
                 for i in range(t - 1, -1, -1):
                     a = av[i]
                     b = bv[i]
-                    if a and me < fb and mfs[i] < fa:
-                        return
-                    if b and md < fa and mbs[i] < fb:
-                        return
+                    if a and me < me_top:
+                        stair.append((mfs[i] - fa, me - fb))
+                    if b and md < md_top:
+                        stair.append((md - fa, mbs[i] - fb))
                     d = x + b  # D_i = A_i - B_{i-1}
                     if d > md:
                         md = d
                     d = a - x  # E_i = B_i - A_{i-1}
                     if d > me:
                         me = d
-                    if md >= fa and me >= fb:
-                        break  # no label before i passes either test
+                    if md >= md_top and me >= me_top:
+                        break  # no label before i bars a child
                     x -= a - b
-
-        # worst semicircle deficits, which only later front (back) labels pay
-        d_front = p - sa + mf
-        d_back = p - sb + mb
-        df = d_front if d_front > 0 else 0
-        db = d_back if d_back > 0 else 0
-        if df + db > sum_cap - s_run:
-            return
-        a_top = b_top = label_cap  # the largest front and back label of a child
-        if want_minimal:
-            # a new front label above max(d_front, 0) can already be
-            # decremented, and the child's own first check (i = t) would cut
-            # it; so for b and d_back.  Never create such a child (module
-            # docstring)
-            a_top = df if df < label_cap else label_cap
-            b_top = db if db < label_cap else label_cap
 
         d0c = codes[0]
         # a_t follows a_{t-1} and b_t follows b_{t-1} around the polygon
@@ -609,8 +619,6 @@ def run_shard(
         # every later diameter carries at least 1: child (a, b) leaves room
         # for the counts up to top - a - b; hi needs no clip (module docstring)
         top = sum_cap + t + 1 - s_run
-        if lo > hi:
-            return
         last = lo == t + 1  # then hi == lo: this diameter is the last
         if last:
             # the two semicircles that avoid the last diameter reach p (see
@@ -709,6 +717,12 @@ def run_shard(
             if flip and a > b_lo:
                 b_lo = a
             b_cap = b_top if b_top < room - edge else room - edge
+            if stair:
+                # the older labels that bar this a; their least y only falls
+                # as a grows, so b_cap stays a ceiling for every later a
+                for x, y in stair:
+                    if a > x and y < b_cap:
+                        b_cap = y
             if b_lo > b_cap:
                 continue
             f_a = f_run + a * xa  # a closes front-front-back triangles

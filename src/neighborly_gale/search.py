@@ -7,11 +7,13 @@ per dihedral class, over spaces restricted by three prune levels:
   diameters up to the sum cap, properties P2/P3 enforced.  This is the
   correctness baseline; it provably contains a gap-minimizing diagram.
 * ``minimal``  -- marcus plus minimality (no label can be decremented),
-  tested at every node of the search: a label that can be decremented in
-  a prefix can be decremented in every completion, so the subtree is cut.
-  A new label above both 0 and its side's worst semicircle deficit can
-  already be decremented, so the deficits cap the label loops and such a
-  child is never created.
+  decided by each parent for its children: a label that can be
+  decremented in a prefix can be decremented in every completion, so such
+  a child is never created.  A new label above both 0 and its side's worst
+  semicircle deficit can already be decremented, so the deficits cap the
+  label loops; each older label that the new diameter's mass would make
+  decrementable bars a quadrant of children, and their union caps the
+  back label per front label.  The leaf keeps the definition's test.
 * ``extremal`` -- minimal plus the local structure a gap-minimizing diagram
   must have: adjacent label sums at least 2, and tighter per-n label and
   diameter-count caps.  Justified for optima only.

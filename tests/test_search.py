@@ -272,6 +272,15 @@ def _children(labels, k, level):
     return [piece[8] for piece in opened]
 
 
+def _minimal_prefix(path, k):
+    """Is the prefix ``path`` minimal, padded by one zero diameter?
+
+    Padding to any larger count reads the same
+    (``test_padded_prefix_reads_the_same_at_every_count``).
+    """
+    return is_minimal_cycle(_padded(path, len(path) // 2 + 1), k)
+
+
 def _newest_tight(path, k):
     """Does each positive label of the newest diameter of ``path`` lie in a
     semicircle of mass at most k+1, with the prefix padded by one zero diameter?"""
@@ -287,23 +296,18 @@ def _newest_tight(path, k):
 
 
 def _minimal_children_by_definition(labels, k):
-    """The ``marcus`` children of the prefix ``labels`` that the definition
-    keeps: the prefix is minimal, and so is each label of the new diameter."""
-    if not is_minimal_cycle(_padded(labels, len(labels) // 2 + 1), k):
-        return []
-    return [child for child in _children(labels, k, "marcus") if _newest_tight(child, k)]
+    """The ``marcus`` children of the prefix ``labels`` whose padded prefixes are minimal."""
+    return [child for child in _children(labels, k, "marcus") if _minimal_prefix(child, k)]
 
 
 def _assert_dropped_children_are_not_minimal(labels, k):
-    # the label ceilings drop a child of a minimal prefix only when its
-    # zero-padded prefix is not minimal, so no completion of it is
+    # the label ceilings and the older labels' staircase drop a child only
+    # when its zero-padded prefix is not minimal, so no completion of it is
     # (test_prefix_cut_is_sound)
-    if not is_minimal_cycle(_padded(labels, len(labels) // 2 + 1), k):
-        return
     kept = set(_children(labels, k, "minimal"))
     for child in _children(labels, k, "marcus"):
         if child not in kept:
-            assert not is_minimal_cycle(_padded(child, len(child) // 2 + 1), k), child
+            assert not _minimal_prefix(child, k), child
 
 
 class TestMinimalCut:
@@ -367,9 +371,9 @@ class TestMinimalCut:
             assert is_minimal_cycle(padded(n), k) == expected, n
 
     def test_node_test_is_the_definition_on_small_prefixes(self):
-        # every prefix of t <= 3 diameters with labels 0..3: the DFS creates
-        # no child of a prefix that is not minimal, and of a minimal one
-        # every marcus child whose new labels cannot be decremented yet
+        # every prefix of t <= 3 diameters with labels 0..3: the parent
+        # creates exactly the marcus children whose zero-padded prefixes are
+        # minimal, none when its own prefix is not
         for k in (1, 2, 3):
             for t in (1, 2, 3):
                 for labels in product(range(4), repeat=2 * t):
@@ -578,7 +582,11 @@ class TestLastDiameterCuts:
         # no completion within the cap is a canonical leaf.  The dropped
         # children include ones of a_0 = 0, b_0 = 2 shards, where every open
         # diameter carries two units, and ones with b_0 = 1 whose prefix
-        # reads f_0 < c_1, so that the last diameter is not c_0
+        # reads f_0 < c_1, so that the last diameter is not c_0.  At the
+        # slack extremal caps 12 (k = 2) and 16 (k = 3) the minimality
+        # staircase bars every b_0 = 2 child that the least mass would
+        # drop, and one b_0 = 1 child is left in each; the tighter extremal
+        # caps 10 and 13 still have both kinds (7 and 16, 37 and 75)
         two = below = 0
         for args, _, children in _walk(k, level, sum_cap):
             n, first, cap, path, state = args[1], args[2], args[5], args[8], args[9]
@@ -602,7 +610,59 @@ class TestLastDiameterCuts:
                     two += back[0] == 2
                     # f_0 = (b_0, a_0) = (1, 0)
                     below += back[0] == 1 and u > 1 and (1, 0) < (front[1], back[1])
-        assert two > 0 and below > 0
+        assert below > 0
+        assert two > 0 or (k, level, sum_cap) in ((2, "extremal", 12), (3, "extremal", 16))
+
+
+def _adjacent(labels, adj):
+    """Do the labels of each pair of adjacent positions of ``labels`` sum to at least ``adj``?"""
+    return all(labels[i - 1] + labels[i] >= adj for i in range(len(labels)))
+
+
+class TestMinimalStaircase:
+    # stream spaces of the minimal levels, walked node by node: the parent's
+    # ceilings on new labels and its staircase of older labels create only
+    # children whose zero-padded prefixes are minimal, and drop only ones
+    # whose prefixes are not
+    @pytest.mark.parametrize(
+        "k,level,sum_cap", [(2, "minimal", 15), (3, "minimal", 12), (4, "extremal", None)]
+    )
+    def test_parent_creates_exactly_the_minimal_children(self, k, level, sum_cap, monkeypatch):
+        failed = []
+        leaf_test = _core.is_minimal_cycle
+
+        def recorded(labels, k):
+            if not leaf_test(labels, k):
+                failed.append(labels)
+                return False
+            return True
+
+        monkeypatch.setattr(_core, "is_minimal_cycle", recorded)
+        walked = _walk(k, level, sum_cap)
+        assert not failed  # every leaf the search creates is minimal
+        adj = 2 if level == "extremal" else 1
+        older = 0
+        for args, shard, children in walked:
+            path = args[8]
+            t = len(path) // 2
+            assert _minimal_prefix(path, k), args
+            # the same node at marcus has every child and leaf of the level
+            # that passes its adjacency floor, unless marcus charges P3's
+            # unit where extremal does not: so the check runs one way
+            at_marcus = []
+            marcus = run_shard(*args[:3], "marcus", *args[4:10], 0, at_marcus)
+            for child in [piece[8] for piece in at_marcus]:
+                front, back = child[: t + 1], child[t + 1 :]
+                if child in children:
+                    continue
+                if t and min(front[-2] + front[-1], back[-2] + back[-1]) < adj:
+                    continue  # below the adjacency floor
+                assert not _minimal_prefix(child, k), (args, child)
+                older += _newest_tight(child, k)  # an older label bars it
+            for leaf in marcus.leaves:
+                if _adjacent(leaf[0], adj) and is_minimal_cycle(leaf[0], k):
+                    assert leaf in shard.leaves, (args, leaf)
+        assert older > 500
 
 
 class TestEnumerate:
@@ -822,16 +882,16 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,ceiling",
         [
-            ("minimal", 2, 103),
-            ("minimal", 3, 256),
-            ("minimal", 4, 567),
-            ("minimal", 5, 1139),
-            ("minimal", 6, 2134),
-            ("extremal", 2, 35),
-            ("extremal", 3, 122),
-            ("extremal", 4, 278),
-            ("extremal", 5, 602),
-            ("extremal", 6, 1179),
+            ("minimal", 2, 95),
+            ("minimal", 3, 241),
+            ("minimal", 4, 535),
+            ("minimal", 5, 1084),
+            ("minimal", 6, 2042),
+            ("extremal", 2, 34),
+            ("extremal", 3, 120),
+            ("extremal", 4, 272),
+            ("extremal", 5, 590),
+            ("extremal", 6, 1157),
         ],
         ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)],
     )
@@ -843,12 +903,12 @@ class TestFindDelta3:
         "level,k,sum_cap,ceiling",
         [
             ("marcus", 2, 15, 231119),
-            ("minimal", 2, 15, 5680),
-            ("minimal", 3, None, 44991),
-            ("extremal", 2, None, 260),
-            ("extremal", 3, None, 1523),
-            ("extremal", 4, None, 10576),
-            ("extremal", 5, None, 69908),
+            ("minimal", 2, 15, 3176),
+            ("minimal", 3, None, 22327),
+            ("extremal", 2, None, 202),
+            ("extremal", 3, None, 1071),
+            ("extremal", 4, None, 6159),
+            ("extremal", 5, None, 34813),
         ],
         ids=[
             "marcus-k2-cap15",
@@ -1292,11 +1352,11 @@ class TestRunShards:
             ("marcus", 4, 11, {None: (128, 1), 33: (26, 0)}),
             ("marcus", 4, 15, {None: (125268, 43148), 33: (481, 0)}),
             ("minimal", 2, 7, {None: (30, 1), 7: (15, 1)}),
-            ("minimal", 2, 9, {None: (275, 24), 7: (67, 3)}),
+            ("minimal", 2, 9, {None: (257, 24), 7: (67, 3)}),
             ("minimal", 3, 9, {None: (65, 1), 18: (20, 0)}),
-            ("minimal", 3, 12, {None: (3671, 168), 18: (199, 3)}),
+            ("minimal", 3, 12, {None: (2824, 168), 18: (198, 3)}),
             ("minimal", 4, 11, {None: (120, 1), 33: (26, 0)}),
-            ("minimal", 4, 15, {None: (51466, 1294), 33: (481, 0)}),
+            ("minimal", 4, 15, {None: (30593, 1294), 33: (480, 0)}),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -1421,40 +1481,43 @@ class TestPieces:
 
     def test_budget_of_one_node_is_exact_at_minimality_cuts(self, monkeypatch):
         # with a budget of one node every child starts a piece of its own,
-        # and the minimality test of its first node reads the worst prefix
+        # and its parent's staircase of older labels reads the worst prefix
         # differences that the piece carried and the path filled in per
-        # depth.  The bound is fixed (k >= 4),
-        # so a piece is the same piece at marcus, with the leaves that are
-        # not minimal and the children whose new labels can already be
-        # decremented dropped, unless its prefix is not minimal: then it is
-        # cut at its first node.  The pieces search the whole tree
+        # depth.  So every piece's zero-padded prefix is minimal: no node
+        # test would fire at its first node.  The bound is fixed (k >= 4),
+        # so a piece opens exactly the pieces it opens at marcus whose
+        # padded prefixes are minimal, and keeps the marcus leaves that are
+        # minimal.  Many of the dropped pieces have new labels that cannot
+        # be decremented: an older label bars them.  The pieces search the
+        # whole tree
         k = 7
         config = SearchConfig(k=k, prune_level="minimal", emit_all=True)
         whole = _split(config, self.WHOLE)
-        cut = 0
+        older = 0
 
         def spied(*args):
-            nonlocal cut
+            nonlocal older
             shard = run_shard(*args)
             path, opened = args[8], args[11]
-            if is_minimal_cycle(_padded(path, len(path) // 2 + 1), k):
-                at_marcus = []
-                marcus = run_shard(*args[:3], "marcus", *args[4:11], at_marcus)
-                assert opened == [
-                    (*piece[:3], "minimal", *piece[4:])
-                    for piece in at_marcus
-                    if _newest_tight(piece[8], k)
-                ]
-                assert shard.leaves == [leaf for leaf in marcus.leaves if is_minimal_cycle(leaf[0], k)]
-            else:
-                assert not opened and not shard.leaves, path
-                cut += 1
+            assert _minimal_prefix(path, k), path
+            at_marcus = []
+            marcus = run_shard(*args[:3], "marcus", *args[4:11], at_marcus)
+            assert opened == [
+                (*piece[:3], "minimal", *piece[4:])
+                for piece in at_marcus
+                if _minimal_prefix(piece[8], k)
+            ]
+            assert shard.leaves == [leaf for leaf in marcus.leaves if is_minimal_cycle(leaf[0], k)]
+            older += sum(
+                not _minimal_prefix(piece[8], k) and _newest_tight(piece[8], k)
+                for piece in at_marcus
+            )
             return shard
 
         monkeypatch.setattr(search, "run_shard", spied)
         split = _split(config, 1)
         assert _counts(split)[:4] == _counts(whole)[:4]
-        assert cut > 100
+        assert older > 100
 
     def test_path_and_budget_are_checked(self):
         state = (0,) * 16  # enough running values, so each call fails at its path
