@@ -22,38 +22,48 @@ The branch-and-bound cut gives every child (a, b) a floor on the gap
 (cofacets - vertices) of the leaves below it, the gap floor.  A later front
 label unit adds one vertex and closes at least xa triangles, xa being the
 count right after the child, since that count only grows; a back unit
-likewise closes at least xb.  The semicircle deficits force some front and
-back mass, every later diameter carries mass, and the sum cap bounds the
-total, so the cheapest completion, each unit charged that least net effect,
-has a closed form.  With f and s the child's cofacets and vertices, dfr and
-dbr the front and back mass its deficits force, rest its open diameters and
-fut the most mass they may hold, F front and B back units give every leaf
-a gap of at least f - s + F (xa - 1) + B (xb - 1), where F >= dfr,
-B >= dbr and rest <= F + B <= fut.  The least value of that sum is the gap
-floor: f - s + dfr (xa - 1) + dbr (xb - 1), less fut - dfr - dbr when xa
-or xb is 0 (all free mass where a unit is worth -1), and otherwise plus
-max(0, rest - dfr - dbr) (min(xa, xb) - 1), on the cheaper side.  For a fixed
-front label a, when every child has xa >= 1 and xb >= 1, the floor is
-h(b) + T(b).  h is convex and piecewise linear with one kink: affine terms
-plus a maximum of affine terms with a nonnegative weight.  T is a product
-of two nonnegative factors that do not fall as b grows, so T does not fall
-either.  ``front_floor`` computes the least minimiser b_star of h in closed
-form once per a, and the search skips the whole a when h(b_star) exceeds
-the best gap.  In the b loop, a cut at or past b_star ends the loop:
-neither term falls from there on, and the best gap never rises.  The range
-of b that ``front_floor`` minimises over starts at the least b that any
-front label admits, so h(b_star) also floors every later front label
-whose h does not fall as a grows.  It does not fall once the front
-deficit is paid, or when sa <= 1; before the front label that pays it, h
-is affine in a, so that label's floor bounds the rest.  When both floors
-exceed the best gap, the front label loop ends.  These steps skip only
-children the per-child test would cut.  When xa is 0 and sa >= 1, the
-children with b >= 1 have the same form, and the child b = 0 is tested
-on its own.  When a unit on one side is worth -1 for every b (the child's
-xb is 0, or xa and sa are both 0), the floor puts all free mass there,
-and the search tests each child of that a on its own.  Before its floor,
-a child whose deficits force more mass than its open diameters may hold
-is cut: its own deficit test would return at once.
+likewise closes at least xb.  A later front unit and a later back unit
+close between them at least one more cofacet that neither count holds,
+once the child's front and back masses SA and SB are >= 1: on one diameter
+the complete pair; with the back unit first, SA triangles (a front unit of
+the child, the back unit, the front unit); with the front unit first, SB
+triangles (a back unit of the child, the front unit, the back unit).  The
+semicircle deficits force some front and back mass, every later diameter
+carries mass, and the sum cap bounds the total, so the cheapest
+completion, each unit charged that least net effect, has a closed form.
+With f and s the child's cofacets and vertices, dfr and dbr the front and
+back mass its deficits force, rest its open diameters and fut the most mass
+they may hold, F front and B back units give every leaf a gap of at least
+f - s + F (xa - 1) + B (xb - 1) + F B, where F >= dfr, B >= dbr and
+rest <= F + B <= fut.  Every child has SA >= 1 and SB >= 1: the search
+starts below the first diameter, whose b_0 >= 1, and the adjacency floor
+of every level gives a child's new front label a_{t-1} + a_t >= 1, t >= 1.
+F B is at least dfr dbr, the pair term, and the least value of the linear
+rest gives the gap floor: f - s + dfr (xa - 1) + dbr (xb - 1) + dfr dbr,
+less fut - dfr - dbr when xa or xb is 0 (all free mass where a unit is
+worth -1), and otherwise plus max(0, rest - dfr - dbr) (min(xa, xb) - 1),
+on the cheaper side.  For a fixed front label a, when every child has
+xa >= 1 and xb >= 1, the floor is h(b) + T(b).  h is convex and piecewise
+linear with one kink: affine terms plus a maximum of affine terms with a
+nonnegative weight; the pair term, dfr times the back deficit, is one of
+each.  T is a product of two nonnegative factors that do not fall as b
+grows, so T does not fall either.  ``front_floor`` computes the least
+minimiser b_star of h in closed form once per a, and the search skips the
+whole a when h(b_star) exceeds the best gap.  In the b loop, a cut at or
+past b_star ends the loop: neither term falls from there on, and the best
+gap never rises.  The range of b that ``front_floor`` minimises over starts
+at the least b that any front label admits, so h(b_star) also floors every
+later front label whose h does not fall as a grows.  It does not fall once
+the front deficit is paid, or when sa <= 1; before the front label that
+pays it, h is affine in a, so that label's floor bounds the rest.  When
+both floors exceed the best gap, the front label loop ends.  These steps
+skip only children the per-child test would cut.  When xa is 0 and
+sa >= 1, the children with b >= 1 have the same form, and the child b = 0
+is tested on its own.  When a unit on one side is worth -1 for every b
+(the child's xb is 0, or xa and sa are both 0), the floor puts all free
+mass there, and the search tests each child of that a on its own.
+Before its floor, a child whose deficits force more mass than its open
+diameters may hold is cut: its own deficit test would return at once.
 
 At the ``minimal`` and ``extremal`` levels the search creates no node one
 of whose labels can already be decremented: every semicircle holding it
@@ -235,14 +245,15 @@ front label's b range is widest at the least open count, so the per-a skip
 and the front label break, taken there, hold at every open count.  A
 child's counts come only from ``floor_rests``, lo and hi, so an empty
 range means the floor cut every open count.  The b loop ends at such a cut
-at or past b_star: from there, at a fixed count, h and T do not fall as b
-grows and fut only falls, so the floor never falls and every later b is
-cut too.  A leaf of any count lowers the bound for all of them.  The
-deficits never raise lo: under the search's label caps they fit the open
-diameters at every count.  No deficit exceeds p, the cap at ``marcus`` and
-``minimal``; at ``extremal`` adjacent labels of a half sum to at least 2,
-so T diameters leave T - 3 in each semicircle, T - 2 for even T, which
-fits the caps k + 4 - n (odd n) and k + 5 - n (even n).  Nor does a node
+at or past b_star: from there, at a fixed count, h (its pair term
+included) and T do not fall as b grows and fut only falls, so the floor
+never falls and every later b is cut too.  A leaf of any count lowers the
+bound for all of them.  The deficits never raise lo: under the search's
+label caps they fit the open diameters at every count.  No deficit
+exceeds p, the cap at ``marcus`` and ``minimal``; at ``extremal``
+adjacent labels of a half sum to at least 2, so T diameters leave T - 3
+in each semicircle, T - 2 for even T, which fits the caps k + 4 - n (odd
+n) and k + 5 - n (even n).  Nor does a node
 clip hi: a count past its sum cap and least masses leaves no child room
 past its floors, and ``floor_rests`` keeps every child's lo within them.
 
@@ -311,10 +322,11 @@ def floor_rests(
 ) -> tuple[int, int]:
     """Least and largest count r of open diameters at which the gap floor <= ``bound``.
 
-    The state is that of the gap floor (module docstring), with ``fut`` the
-    most mass the child leaves room for: r open diameters need at least r
-    and hold at most min(fut, two_cap r), so r runs over 0..fut and that
-    cap is the most mass the floor lets them hold.  When xa and xb are both
+    The state is that of the gap floor (module docstring), with the pair
+    term dfr dbr in ``f`` and ``fut`` the most mass the child leaves room
+    for: r open diameters need at least r and hold at most
+    min(fut, two_cap r), so r runs over 0..fut and that cap is the most
+    mass the floor lets them hold.  When xa and xb are both
     >= 1 the floor ignores the cap and does not fall as r grows, so the
     kept r run from 0 up.  Otherwise the floor falls by one per unit of the
     cap, which does not fall as r grows, so the kept r run up to fut.  An
@@ -347,13 +359,14 @@ def front_floor(
     front and back masses, ``xa`` and ``xb`` its triangle counts, and
     p - sa + mf and p - sb + mb its worst front and back deficits, p being
     k+1.  Where the child's nxa = xa + sa b and nxb = xb + a sb are both
-    >= 1, its floor is
-    h(b) + T(b), with w = nxb - 1 and the child's deficits
-    dfr = max(p - sa - a + mf, p - sb, 0) and dbr = e0 + max(0, kink - b):
+    >= 1, its floor is h(b) + T(b), with the child's deficits
+    dfr = max(p - sa - a + mf, p - sb, 0) and dbr = e0 + max(0, kink - b),
+    and w = nxb - 1 + dfr, what each unit of dbr costs with the pair term
+    dfr dbr:
 
         h(b) = f + a xa - s - a + dfr (xa - 1) + e0 w + slope b
                + w max(0, kink - b),   slope = a + xb - 1 + dfr sa,
-        T(b) = max(0, rest - dfr - dbr) min(nxa - 1, w) >= 0.
+        T(b) = max(0, rest - dfr - dbr) min(nxa - 1, nxb - 1) >= 0.
 
     h is convex with its one kink at b = kink (slope - w left of it, slope
     right of it), and T does not fall as b grows: dbr does not rise and
@@ -361,21 +374,23 @@ def front_floor(
     b_star, and the floor does not fall past b_star.  The caller ensures
     nxb >= 1, so a >= 1 or xb >= 1 (also at a_paid > a below), and
     slope >= 0: h never falls right of the kink, and b_star is lo, the kink
-    or hi.
+    or hi.  It also gives sb >= 1, since xb is 0 when sb is.
 
     Returns (h(b_star), b_star, ends).  ``ends`` says that every child
     (a', b) with a' >= a and lo <= b <= hi has a floor above ``bound``.
     Such a child has nxa >= xa and nxb >= xb + a sb, so with xa >= 1 it has
     the h + T form, and it is enough that h_a'(b) > bound.  Each unit of a
     changes h(b) by
-        (1 - delta)(xa - 1) + e0 sb + b (1 - delta sa) + sb max(0, kink - b),
-    delta in {0, 1} being the fall of dfr.  Once the front deficit is paid
-    (from a_paid = p - sa + mf - max(p - sb, 0) on) delta is 0 and the step
-    is >= 0; so is it when sa <= 1.  Before a_paid, delta is 1 and the step
-    does not depend on a, so h_a'(b) is affine in a' there and at least
-    min(h_a(b), h_a_paid(b)).  Hence h_a(b_star) > bound ends the front
-    label loop when sa <= 1 or a >= a_paid, and otherwise when h_a_paid,
-    at its own least minimiser, also exceeds the bound.
+        (1 - delta)(xa - 1) + e0 (sb - delta) + b (1 - delta sa)
+        + (sb - delta) max(0, kink - b),
+    delta in {0, 1} being the fall of dfr, which w follows.  Once the front
+    deficit is paid (from a_paid = p - sa + mf - max(p - sb, 0) on) delta is
+    0 and the step is >= 0; so is it when sa <= 1, as sb >= 1.  Before
+    a_paid, delta is 1 and the step does not depend on a, so h_a'(b) is
+    affine in a' there and at least min(h_a(b), h_a_paid(b)).  Hence
+    h_a(b_star) > bound ends the front label loop when sa <= 1 or
+    a >= a_paid, and otherwise when h_a_paid, at its own least minimiser,
+    also exceeds the bound.
     """
     e0 = p - sa if p > sa else 0
     kink = p - sb + mb - e0
@@ -383,7 +398,7 @@ def front_floor(
     dfr = p - sa - a + mf
     if dfr < paid:
         dfr = paid
-    w = xb + a * sb - 1
+    w = xb + a * sb - 1 + dfr
     slope = a + xb - 1 + dfr * sa
     if slope >= w or kink <= lo:
         b = lo
@@ -783,8 +798,10 @@ def run_shard(
                     fut = sum_cap - s_child
                     if need > fut:
                         continue  # the child's deficit test returns at every count
+                    # every later (front, back) unit pair closes one cofacet
+                    # more: the pair term joins the child's cofacets
                     r_lo, r_hi = floor_rests(
-                        f_child, s_child, nxa, nxb, dfr, dbr, fut, two_cap, best
+                        f_child + dfr * dbr, s_child, nxa, nxb, dfr, dbr, fut, two_cap, best
                     )
                     c_lo = t + 1 + r_lo
                     if c_lo < lo:

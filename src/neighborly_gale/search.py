@@ -22,14 +22,16 @@ The minimum itself is computed exactly with a branch-and-bound cut.  Each
 child diameter (a, b) gets a floor on the gap of every leaf below it: its
 cofacets less its vertices, plus the least net effect of the label mass
 still to come.  Each later label unit adds one vertex and closes at least
-as many triangles as a unit on its half would close right after the child;
-the semicircle deficits force some of that mass, and every later diameter
-needs some.  For each front label a the search tests the floor's convex
-part once, at its minimum, skipping every b when it exceeds the best gap,
-and stops the b loop at the first cut at or past that minimum.  The same
-test ends the front label loop where it provably also holds for every
-later front label.  Subtrees that could still tie the best value are never
-cut, so every witness is found.
+as many triangles as a unit on its half would close right after the child,
+and each pair of a later front and a later back unit closes at least one
+cofacet more; the semicircle deficits force some of that mass on each
+side, whose pairs the floor charges, and every later diameter needs some.
+For each front label a the search tests the floor's convex part once, at
+its minimum, skipping every b when it exceeds the best gap, and stops the
+b loop at the first cut at or past that minimum.  The same test ends the
+front label loop where it provably also holds for every later front label.
+Subtrees that could still tie the best value are never cut, so every
+witness is found.
 
 ``find_delta3`` starts from one shard per first front label and run of
 diameter counts with one label cap: every count at ``marcus`` and
@@ -87,12 +89,13 @@ PIECE_NODES = 2000
 # break-even point C s / (s - 1) of rent or buy (Karlin, Manasse, Rudolph,
 # Sleator, "Competitive snoopy caching", Algorithmica 3, 1988), which never
 # costs more than 2 - 1/s times the better choice made in hindsight.  C is
-# the pool's fixed cost (start, warm-up, a round trip, teardown) and s the
-# speed-up of two processes on a 2-CPU host: 144 fresh-interpreter pairs
-# of marcus k = 6..14 at jobs 2 against jobs 1 fit C = 42.7 ms and s = 1.86
-# at 7.65 us a node in process, so C s / (s - 1) = 92.5 ms, 12,100 nodes
-# (BENCH_26.json; re-fit with tools/fit_pool_nodes.py when nodes get cheaper).
-POOL_NODES = 12100
+# the pool's fixed cost (import, start, warm-up, a round trip, teardown) and
+# s the speed-up of two processes on a 2-CPU host: 72 fresh-interpreter
+# pairs for each of marcus k = 16, 18, ..., 26 at jobs 2 against jobs 1 fit
+# C = 59.1 ms and s = 1.80 at 6.40 us a node in process, so
+# C s / (s - 1) = 132.6 ms, 20,700 nodes (BENCH_30.json; re-fit with
+# tools/fit_pool_nodes.py when nodes get cheaper or proofs smaller).
+POOL_NODES = 20700
 
 
 @dataclass(frozen=True)
@@ -416,8 +419,8 @@ def verify_theorem1(k_max: int, prune_level: str = "extremal", jobs: int = 1) ->
     The whole sweep shares one pool, started when a k first needs it.
     """
     require_ints(k_max=k_max)
-    if not 2 <= k_max <= 16:
-        raise ParameterError(f"k_max must be between 2 and 16, got {k_max}")
+    if not 2 <= k_max <= 28:
+        raise ParameterError(f"k_max must be between 2 and 28, got {k_max}")
     rows = []
     with _Workers(jobs) as workers:
         for k in range(2, k_max + 1):

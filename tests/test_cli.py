@@ -285,7 +285,7 @@ class TestVerify:
         assert "example3  14  7  yes" in out
 
     def test_bad_kmax(self, capsys):
-        code, _, _ = run(capsys, "verify", "--kmax", "17")
+        code, _, _ = run(capsys, "verify", "--kmax", "29")
         assert code == 2
 
 

@@ -794,10 +794,10 @@ class TestFindDelta3:
             assert len(set(values.values())) == 1, values
 
     def test_jobs_do_not_change_anything(self, monkeypatch):
-        # marcus k = 10 (15,963 nodes), the least k that outgrows
+        # marcus k = 18 (21,927 nodes), the least k that outgrows
         # POOL_NODES, starts a real pool at jobs=2; the pieces, and so every
         # count, stay the same
-        config = SearchConfig(k=10, prune_level="marcus", emit_all=True)
+        config = SearchConfig(k=18, prune_level="marcus", emit_all=True)
         serial = find_delta3(config)
         assert serial.stats.nodes > search.POOL_NODES
         pools = _count_pools(monkeypatch)
@@ -811,7 +811,7 @@ class TestFindDelta3:
         # the pending pieces stay in the parent and a pool task runs every
         # piece it carries: the pool runs each piece that the parent does
         # not run exactly once, and no task sends one back unstarted
-        config = SearchConfig(k=12, prune_level="marcus", emit_all=True)
+        config = SearchConfig(k=20, prune_level="marcus", emit_all=True)
         serial = find_delta3(config)
         tasks = _record_tasks(monkeypatch)
         in_parent = []
@@ -871,7 +871,7 @@ class TestFindDelta3:
     # ids leave out the ceilings, so lowering one keeps the test's name
     @pytest.mark.parametrize(
         "k,ceiling",
-        [(2, 104), (3, 260), (4, 573), (5, 1152), (6, 2152)],
+        [(2, 61), (3, 125), (4, 226), (5, 376), (6, 597)],
         ids=["k2", "k3", "k4", "k5", "k6"],
     )
     def test_marcus_node_ceiling(self, k, ceiling):
@@ -882,16 +882,16 @@ class TestFindDelta3:
     @pytest.mark.parametrize(
         "level,k,ceiling",
         [
-            ("minimal", 2, 95),
-            ("minimal", 3, 241),
-            ("minimal", 4, 535),
-            ("minimal", 5, 1084),
-            ("minimal", 6, 2042),
-            ("extremal", 2, 34),
-            ("extremal", 3, 120),
-            ("extremal", 4, 272),
-            ("extremal", 5, 590),
-            ("extremal", 6, 1157),
+            ("minimal", 2, 58),
+            ("minimal", 3, 119),
+            ("minimal", 4, 216),
+            ("minimal", 5, 357),
+            ("minimal", 6, 572),
+            ("extremal", 2, 20),
+            ("extremal", 3, 69),
+            ("extremal", 4, 127),
+            ("extremal", 5, 249),
+            ("extremal", 6, 442),
         ],
         ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)],
     )
@@ -1012,6 +1012,12 @@ class TestPieceState:
             if path:
                 assert state == node_state(path, args[5]), args
                 checked += 1
+            if len(path) >= 4:
+                # the search charges the pairs of later units without
+                # min(1, sa, sb) (TestPairTerm): below the first diameter
+                # every node has sa >= 1 (the adjacency floor after a_0)
+                # and sb >= b_0 >= 1
+                assert state[2] >= 1 and state[3] >= 1, path
         assert checked > 100
 
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
@@ -1058,21 +1064,24 @@ def least_completion_gap(front, back, n, k):
     return least
 
 
-def gap_floor(f, s, xa, xb, dfr, dbr, rest, fut):
+def gap_floor(f, s, sa, sb, xa, xb, dfr, dbr, rest, fut):
     """Floor on the gap (cofacets - vertices) of every leaf below a node.
 
     The definition the search's floors are checked against (``_core``'s
     module docstring derives it).  ``f`` and ``s`` are the node's cofacets
-    and vertices, ``xa`` and ``xb`` the triangles each later front and back
-    label unit closes at least, ``dfr`` and ``dbr`` the front and back mass
-    its semicircle deficits force, ``rest`` its unassigned diameters (each
-    needs mass) and ``fut`` the most mass they may hold.  Each of F later
-    front units closes at least xa triangles and adds one vertex, and each
-    of B back units at least xb, so every leaf has gap at least
-    f - s + F (xa - 1) + B (xb - 1) with F >= dfr, B >= dbr and
-    rest <= F + B <= fut.  The floor is the least value of that sum.
+    and vertices, ``sa`` and ``sb`` its front and back masses, ``xa`` and
+    ``xb`` the triangles each later front and back label unit closes at
+    least, ``dfr`` and ``dbr`` the front and back mass its semicircle
+    deficits force, ``rest`` its unassigned diameters (each needs mass) and
+    ``fut`` the most mass they may hold.  Each of F later front units
+    closes at least xa triangles and adds one vertex, each of B back units
+    at least xb, and each pair of a later front and a later back unit at
+    least min(1, sa, sb) cofacets more (``TestPairTerm``), so every leaf
+    has gap at least f - s + F (xa - 1) + B (xb - 1) + F B min(1, sa, sb)
+    with F >= dfr, B >= dbr and rest <= F + B <= fut.  The floor charges
+    the pairs dfr dbr, their least number, and the rest its least value.
     """
-    floor = f - s + dfr * (xa - 1) + dbr * (xb - 1)
+    floor = f - s + dfr * (xa - 1) + dbr * (xb - 1) + dfr * dbr * min(1, sa, sb)
     if xa == 0 or xb == 0:
         return floor - (fut - dfr - dbr)  # all free mass where a unit is worth -1
     short = rest - dfr - dbr
@@ -1105,6 +1114,8 @@ class TestGapFloor:
         floor = gap_floor(
             f,
             s,
+            sa,
+            sb,
             xa,
             xb,
             max(0, p - sa + mf),
@@ -1113,6 +1124,33 @@ class TestGapFloor:
             min(4 * p - s, 2 * p * open_diameters),
         )
         assert floor <= least
+
+
+class TestPairTerm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=3),
+        st.integers(1, 2),
+    )
+    # sa = 0: back units before front units close no cofacet together, so
+    # the pairs are charged only once both masses are >= 1
+    @example(2, [(0, 3)], 2)
+    def test_every_completion_pays_its_pairs(self, k, prefix, open_diameters):
+        # F later front units and B later back units close, besides the
+        # triangles xa and xb count, at least F B min(1, sa, sb) cofacets;
+        # checked on every completion, whatever its labels
+        p = k + 1
+        front = tuple(min(a, p) for a, _ in prefix)
+        back = tuple(min(b, p) for _, b in prefix)
+        f, s, sa, sb, xa, xb, _, _ = prefix_state(front, back)
+        n = len(prefix) + open_diameters
+        for tail in product(range(p + 1), repeat=2 * open_diameters):
+            later_front, later_back = tail[:open_diameters], tail[open_diameters:]
+            F, B = sum(later_front), sum(later_back)
+            d = GaleDiagram(n, front + later_front + back + later_back)
+            floor = f - s + F * (xa - 1) + B * (xb - 1) + F * B * min(1, sa, sb)
+            assert count_cofacets(d) - d.vertex_count >= floor, tail
 
 
 class TestFloorRests:
@@ -1126,19 +1164,22 @@ class TestFloorRests:
         st.integers(0, 30),
         st.integers(1, 8),
         st.integers(-10, 60),
+        st.integers(0, 2),
     )
-    @example(10, 4, 0, 3, 2, 1, 20, 3, 5)  # a unit worth -1: the kept r start above 0
-    @example(0, 4, 3, 5, 1, 1, 20, 3, 4)  # the floor rises with r: the kept r end below fut
+    @example(10, 4, 0, 3, 2, 1, 20, 3, 5, 0)  # a unit worth -1: the kept r start above 0
+    @example(0, 4, 3, 5, 1, 1, 20, 3, 4, 0)  # the floor rises with r: the kept r end below fut
     def test_matches_gap_floor_at_every_count(
-        self, f, s, xa, xb, dfr, dbr, fut, cap, bound
+        self, f, s, xa, xb, dfr, dbr, fut, cap, bound, mass
     ):
         # the run narrows a child's open counts to the r at which gap_floor,
-        # with the mass cap of r open diameters, is at most the bound
-        lo, hi = floor_rests(f, s, xa, xb, dfr, dbr, fut, 2 * cap, bound)
+        # with the mass cap of r open diameters, is at most the bound; it
+        # passes the pair term, which does not depend on r, in the cofacets
+        pairs = dfr * dbr * min(1, mass)
+        lo, hi = floor_rests(f + pairs, s, xa, xb, dfr, dbr, fut, 2 * cap, bound)
         kept = [
             r
             for r in range(fut + 1)
-            if gap_floor(f, s, xa, xb, dfr, dbr, r, min(fut, 2 * cap * r)) <= bound
+            if gap_floor(f, s, mass, mass, xa, xb, dfr, dbr, r, min(fut, 2 * cap * r)) <= bound
         ]
         assert kept == list(range(max(lo, 0), min(hi, fut) + 1))
         assert lo > hi or 0 <= lo <= hi <= fut
@@ -1151,6 +1192,8 @@ def child_floor(front, back, a, b, open_diameters, k):
     return gap_floor(
         f,
         s,
+        sa,
+        sb,
         xa,
         xb,
         max(0, p - sa + mf),
@@ -1346,17 +1389,17 @@ class TestRunShards:
         "level,k,sum_cap,counts",
         [
             ("marcus", 2, 7, {None: (30, 1), 7: (15, 1)}),
-            ("marcus", 2, 9, {None: (353, 85), 7: (67, 3)}),
+            ("marcus", 2, 9, {None: (353, 85), 7: (46, 3)}),
             ("marcus", 3, 9, {None: (67, 1), 18: (20, 0)}),
-            ("marcus", 3, 12, {None: (6180, 1765), 18: (199, 3)}),
+            ("marcus", 3, 12, {None: (6180, 1765), 18: (116, 3)}),
             ("marcus", 4, 11, {None: (128, 1), 33: (26, 0)}),
-            ("marcus", 4, 15, {None: (125268, 43148), 33: (481, 0)}),
+            ("marcus", 4, 15, {None: (125268, 43148), 33: (206, 0)}),
             ("minimal", 2, 7, {None: (30, 1), 7: (15, 1)}),
-            ("minimal", 2, 9, {None: (257, 24), 7: (67, 3)}),
+            ("minimal", 2, 9, {None: (257, 24), 7: (46, 3)}),
             ("minimal", 3, 9, {None: (65, 1), 18: (20, 0)}),
-            ("minimal", 3, 12, {None: (2824, 168), 18: (198, 3)}),
+            ("minimal", 3, 12, {None: (2824, 168), 18: (116, 3)}),
             ("minimal", 4, 11, {None: (120, 1), 33: (26, 0)}),
-            ("minimal", 4, 15, {None: (30593, 1294), 33: (480, 0)}),
+            ("minimal", 4, 15, {None: (30593, 1294), 33: (206, 0)}),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -1490,7 +1533,7 @@ class TestPieces:
         # minimal.  Many of the dropped pieces have new labels that cannot
         # be decremented: an older label bars them.  The pieces search the
         # whole tree
-        k = 7
+        k = 12
         config = SearchConfig(k=k, prune_level="minimal", emit_all=True)
         whole = _split(config, self.WHOLE)
         older = 0
@@ -1545,11 +1588,11 @@ class TestPieces:
             return run_shard(*args)
 
         monkeypatch.setattr(search, "run_shard", counted)
-        for k in (2, 7):
+        for k in (2, 10):
             calls.clear()
             result = find_delta3(SearchConfig(k=k, prune_level="marcus"))
             assert result.stats.pieces == len(calls)
-        assert len(calls) > k + 2  # k = 7 outgrows one piece and splits
+        assert len(calls) > k + 2  # k = 10 outgrows one piece and splits
         assert result.to_json()["stats"]["pieces"] == len(calls)
         buffer = io.StringIO()
         write_results_jsonl(result, buffer)
@@ -1558,8 +1601,8 @@ class TestPieces:
     def test_no_piece_outgrows_its_budget(self, monkeypatch):
         # once a piece has spent its budget it only finishes the leaf loop
         # it is in, so the search splits into even pieces: none of marcus
-        # k = 9 holds more than 2,000 of its 10,144 nodes
-        k = 9
+        # k = 16 holds more than 2,000 of its 13,618 nodes
+        k = 16
         runs = []
 
         def spied(*args):
@@ -1574,9 +1617,9 @@ class TestPieces:
 
     def test_small_searches_start_no_pool(self, monkeypatch):
         # the parent runs every piece of a search that ends within
-        # POOL_NODES nodes: marcus k <= 9 starts no pool, even at --jobs 64
+        # POOL_NODES nodes: marcus k <= 17 starts no pool, even at --jobs 64
         pools = _inline_pools(monkeypatch)
-        for k in range(2, 10):
+        for k in range(2, 18):
             result = find_delta3(SearchConfig(k=k, prune_level="marcus", jobs=64))
             assert result.stats.nodes <= search.POOL_NODES
         assert pools == []
@@ -1688,11 +1731,11 @@ class TestPieces:
 
         monkeypatch.setattr(search, "_pool_task", pool_task)
         monkeypatch.setattr(search, "run_shard", spied)
-        rows = verify_theorem1(11, prune_level="marcus", jobs=2)
+        rows = verify_theorem1(19, prune_level="marcus", jobs=2)
         assert all(row["match"] for row in rows)
         assert pools == [2]
         bought = min(k for k, pooled, _ in runs if pooled)
-        assert bought < 11
+        assert bought < 19
         assert not any(pooled for k, pooled, _ in runs if k < bought)
         in_parent = sum(nodes for k, pooled, nodes in runs if k == bought and not pooled)
         assert search.POOL_NODES <= in_parent <= search.POOL_NODES + search.PIECE_NODES + (bought + 2) ** 2
@@ -1772,7 +1815,7 @@ class TestVerifyTheorem1:
         with pytest.raises(ParameterError):
             verify_theorem1(1)
         with pytest.raises(ParameterError):
-            verify_theorem1(17)
+            verify_theorem1(29)
         with pytest.raises(ParameterError):
             verify_theorem1(3.0)
         assert verify_theorem1(8)[-1]["k"] == 8

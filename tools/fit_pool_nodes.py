@@ -18,12 +18,10 @@ took for them.  A least-squares line y = C + x / s over the ks gives the
 pool's fixed cost C (the ``multiprocessing`` import, start, warm-up, round
 trips, teardown) and the speed-up s of its workers.  A process that starts
 no pool never imports ``multiprocessing``, so the jobs=2 samples pay that
-import and the jobs=1 samples do not; ``POOL_NODES`` = 12,100 was fitted
-while the package still imported it at start-up, so a re-fit now sees a
-larger C.  The time per node is the sum of t1 over the sum of nodes.
-The break-even of rent or buy is C s / (s - 1) (Karlin, Manasse, Rudolph,
-Sleator, "Competitive snoopy caching", Algorithmica 3, 1988), printed in ms
-and in nodes.  Last, two jobs=1 searches of the largest k run at once and
+import and the jobs=1 samples do not, and C includes it.  The time per
+node is the sum of t1 over the sum of nodes.  The break-even of rent or
+buy is C s / (s - 1) (Karlin, Manasse, Rudolph, Sleator, "Competitive
+snoopy caching", Algorithmica 3, 1988), printed in ms and in nodes.  Last, two jobs=1 searches of the largest k run at once and
 alone: twice the time alone over the time at once is the most speed-up the
 host gives two processes now (``host_speedup``), which s cannot exceed.  Run
 it on an otherwise idle host: the pairs are as noisy as the host.
@@ -39,9 +37,9 @@ from pathlib import Path
 from unittest.mock import patch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# One set of the run behind POOL_NODES = 12,100, which pooled six such sets
-# (BENCH_26.json).
-KS = (6, 8, 9, 10, 12, 14)
+# Proofs that still split into many pieces: one set of the run behind
+# POOL_NODES = 20,700, which pooled three such sets (BENCH_30.json).
+KS = (16, 18, 20, 22, 24, 26)
 PAIRS = 24
 PROBES = 8
 
