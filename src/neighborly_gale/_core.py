@@ -250,12 +250,17 @@ included) and T do not fall as b grows and fut only falls, so the floor
 never falls and every later b is cut too.  A leaf of any count lowers the
 bound for all of them.  The deficits never raise lo: under the search's
 label caps they fit the open diameters at every count.  No deficit
-exceeds p, the cap at ``marcus`` and ``minimal``; at ``extremal``
-adjacent labels of a half sum to at least 2, so T diameters leave T - 3
-in each semicircle, T - 2 for even T, which fits the caps k + 4 - n (odd
-n) and k + 5 - n (even n).  Nor does a node
-clip hi: a count past its sum cap and least masses leaves no child room
-past its floors, and ``floor_rests`` keeps every child's lo within them.
+exceeds p, the label cap of every tree of more than one count, at every
+level.  The one-count stream shards at ``extremal`` have the smaller cap
+c = k + 4 - n (odd n) or k + 5 - n (even n), which their deficits fit
+too.  At depth t, the part of a semicircle inside the prefix is t - 1
+positions in two runs, so the adjacency-pair count of the ``search``
+module docstring leaves it at least t - 3, and t - 2 for even t.  With
+r = n - t open diameters, a deficit is then at most c + r, and at most
+c + r - 1 for odd r, while r diameters hold r c: enough, as every count
+of ``extremal``'s range has c >= 2.  Nor does a node clip hi: a count
+past its sum cap and least masses leaves no child room past its floors,
+and ``floor_rests`` keeps every child's lo within them.
 
 A shard can start below the root and stop early, which splits one tree
 into pieces.  A piece carries its node's state: the path of its diameters,

@@ -15,8 +15,19 @@ per dihedral class, over spaces restricted by three prune levels:
   decrementable bars a quadrant of children, and their union caps the
   back label per front label.  The leaf keeps the definition's test.
 * ``extremal`` -- minimal plus the local structure a gap-minimizing diagram
-  must have: adjacent label sums at least 2, and tighter per-n label and
-  diameter-count caps.  Justified for optima only.
+  must have: adjacent label sums at least 2, and a tighter diameter-count
+  cap.  Justified for optima only.  Its per-n label cap, k+4-n for odd n
+  and k+5-n for even n, follows from minimality plus adjacency.  A
+  positive label x of a minimal diagram lies in an open semicircle of
+  mass at most k+1, and the n-2 other positions of that semicircle form
+  two runs.  A run of length l holds floor(l/2) disjoint adjacent pairs,
+  each of mass at least 2, across the half boundaries too: this is the
+  adjacency-pair count.  So x is at most k+1 - 2 floor(l/2) - 2 floor(r/2)
+  with l + r = n-2, which is at most k+5-n for even n, where both runs
+  can be odd, and k+4-n for odd n.
+  Proofs therefore search under the cap k+1, and streams keep the per-n
+  cap only as an early cut: without it the ``extremal`` streams stay
+  byte-identical but take 1.8-2.9 times the nodes at k = 3..6.
 
 The minimum itself is computed exactly with a branch-and-bound cut.  Each
 child diameter (a, b) gets a floor on the gap of every leaf below it: its
@@ -33,12 +44,12 @@ front label loop where it provably also holds for every later front label.
 Subtrees that could still tie the best value are never cut, so every
 witness is found.
 
-``find_delta3`` starts from one shard per first front label and run of
-diameter counts with one label cap: every count at ``marcus`` and
-``minimal``, a few runs at ``extremal``.  A prefix is then searched once for
-all the counts it can still complete, and a leaf of any count tightens the
-bound for all of them.  ``enumerate_diagrams`` keeps one shard per (n, a0),
-so its stream stays grouped by diameter count.
+``find_delta3`` starts from one shard per first front label, which
+searches every diameter count as one tree under the label cap k+1, at
+every level.  A prefix is then searched once for all the counts it can
+still complete, and a leaf of any count tightens the bound for all of
+them.  ``enumerate_diagrams`` keeps one shard per (n, a0), under that
+count's label cap, so its stream stays grouped by diameter count.
 
 Both searches split their shards into pieces, the idea of cube and conquer
 (Heule, Kullmann, Wieringa, Biere, HVC 2011): the a0 = 0 shard holds almost
@@ -72,7 +83,6 @@ import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
-from itertools import groupby
 
 from ._core import ShardResult, run_shard
 from .constructions import build_example1
@@ -189,6 +199,8 @@ def _label_cap(config: SearchConfig, n: int) -> int:
     k = config.k
     cap = k + 1
     if config.prune_level == "extremal":
+        # implied by minimality and adjacency (module docstring): only the
+        # one-count stream shards use it, as an early cut
         cap = min(cap, k + 5 - n if n % 2 == 0 else k + 4 - n)
     return cap
 
@@ -204,20 +216,18 @@ def _shard_args(config: SearchConfig, bound: int | None) -> list[tuple]:
 
 
 def _run_args(config: SearchConfig, bound: int | None) -> list[tuple]:
-    """``run_shard`` arguments of one shard per first label a0 and run of counts.
+    """``run_shard`` arguments of one shard per first label a0, over every count.
 
-    A run is a maximal range n..n_last of diameter counts with one label cap;
-    its shard searches all of them in one tree, from the root (no path or state).
+    Each shard searches every diameter count of ``_n_range`` in one tree, from
+    the root (no path or state), under the label cap k+1 at every level: a
+    leaf's own tests keep its labels within ``_label_cap`` (module docstring).
     """
     k, level, sum_cap = config.k, config.prune_level, _sum_cap(config)
-    args = []
-    for cap, run in groupby(_n_range(config), lambda n: _label_cap(config, n)):
-        counts = list(run)
-        args += [
-            (k, counts[0], first, level, sum_cap, cap, bound, counts[-1], (), ())
-            for first in range(cap + 1)
-        ]
-    return args
+    counts = _n_range(config)
+    return [
+        (k, counts[0], first, level, sum_cap, k + 1, bound, counts[-1], (), ())
+        for first in range(k + 2)
+    ]
 
 
 def _seed_gap(k: int, sum_cap: int) -> int | None:

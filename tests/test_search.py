@@ -35,6 +35,7 @@ from neighborly_gale.diagram import (
     is_k_neighborly,
     is_minimal,
     is_minimal_cycle,
+    least_image,
     semicircle_sums,
 )
 from neighborly_gale.errors import CounterexampleError, ParameterError
@@ -888,12 +889,18 @@ class TestFindDelta3:
             ("minimal", 5, 357),
             ("minimal", 6, 572),
             ("extremal", 2, 20),
-            ("extremal", 3, 69),
-            ("extremal", 4, 127),
-            ("extremal", 5, 249),
-            ("extremal", 6, 442),
+            ("extremal", 3, 44),
+            ("extremal", 4, 77),
+            ("extremal", 5, 122),
+            ("extremal", 6, 193),
+            ("extremal", 12, 1187),
+            ("extremal", 20, 5893),
+            # below POOL_NODES: the default level starts no pool up to
+            # verify's largest k
+            ("extremal", 28, 19869),
         ],
-        ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)],
+        ids=[f"{level}-k{k}" for level in ("minimal", "extremal") for k in range(2, 7)]
+        + ["extremal-k12", "extremal-k20", "extremal-k28"],
     )
     def test_node_ceiling(self, level, k, ceiling):
         result = find_delta3(SearchConfig(k=k, prune_level=level))
@@ -1337,7 +1344,9 @@ class TestRunShards:
             for args in _run_args(config, bound):
                 n, first, n_last = args[1], args[2], args[7]
                 run = run_shard(*args)
-                parts = [single[m, first] for m in range(n, n_last + 1)]
+                # a count whose label cap is below a0 has no one-count shard:
+                # it adds no leaf and no node
+                parts = [single[m, first] for m in range(n, n_last + 1) if (m, first) in single]
                 every = [leaf for part in parts for leaf in part.leaves]
                 final = min([bound] + [f - v for _, f, v in run.leaves])
                 assert final == min([bound] + [f - v for _, f, v in every]), args
@@ -1430,21 +1439,34 @@ class TestRunShards:
 
     @pytest.mark.parametrize("level", PRUNE_LEVELS)
     def test_runs_cover_every_shard(self, level):
-        # one run per first label and maximal range of counts with one label
-        # cap; marcus and minimal have one cap, so one range
+        # one run per first label over every count, under a label cap that
+        # admits every label its counts' one-count shards admit
         for k in (2, 3, 6):
             config = SearchConfig(k=k, prune_level=level)
             counts = _n_range(config)
             runs = _run_args(config, None)
-            covered = [(m, args[2]) for args in runs for m in range(args[1], args[7] + 1)]
-            assert sorted(covered) == sorted(args[1:3] for args in _shard_args(config, None))
+            covered = {(m, args[2]) for args in runs for m in range(args[1], args[7] + 1)}
+            assert {args[1:3] for args in _shard_args(config, None)} <= covered
             for args in runs:
-                n, cap, n_last = args[1], args[5], args[7]
-                assert {_label_cap(config, m) for m in range(n, n_last + 1)} == {cap}
-                for m in (n - 1, n_last + 1):
-                    assert m not in counts or _label_cap(config, m) != cap
-            if level != "extremal":
-                assert len(runs) == k + 2
+                assert range(args[1], args[7] + 1) == counts
+                assert args[5] >= max(_label_cap(config, m) for m in counts)
+            assert len(runs) == k + 2
+
+    @pytest.mark.parametrize("k,classes", [(2, 9), (3, 30), (4, 104), (5, 454)])
+    def test_extremal_tree_keeps_the_per_count_label_cap(self, k, classes):
+        # minimality and the adjacency floors imply extremal's per-count
+        # label cap (search module docstring), so one tree per first label
+        # under the cap k+1 evaluates no leaf above its count's cap and
+        # finds exactly the extremal stream's classes
+        config = SearchConfig(k=k, prune_level="extremal")
+        leaves = [
+            labels for args in _run_args(config, None) for labels, _, _ in run_shard(*args).leaves
+        ]
+        assert all(max(labels) <= _label_cap(config, len(labels) // 2) for labels in leaves)
+        got = {(len(labels) // 2, least_image(labels)) for labels in leaves}
+        expected = {(d.n, d.labels) for d in enumerate_diagrams(config)}
+        assert got == expected
+        assert len(expected) == classes
 
 
 class _InlinePool:
