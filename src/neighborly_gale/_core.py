@@ -113,19 +113,18 @@ zero-padded prefix can be decremented.  So every node the search creates
 has a minimal padded prefix, and no node tests its own labels.  The leaf
 reads the same: its whole cycle has no semicircle past the prefix, but the
 terms fa > 0 and fb > 0 that those give follow from the others (from
-sa > p for an older front label, from mf >= 0 for the new one).  The leaf
-still runs ``diagram.is_minimal_cycle``, the definition, on its whole
-cycle.
+sa > p for an older front label, from mf >= 0 for the new one).  So every
+leaf is minimal, and the leaf runs no minimality test.
 
-Symmetry breaking and emission keep one rule, the least of a cycle's
-rotations and of its reverse's, on two encodings.  ``diagram.least_image``
-(wrapped by ``canonical_form``) applies it to the position-order label
-cycle, and the emitted stream is pinned to that form.  The leaf applies it
-to the code cycle C = (a_t K + b_t for every t, then b_t K + a_t), K
-exceeding every label: turning the positions by one shifts the diameters
-and flips the pair that wraps, so the rotations of C and of C reversed are
-the 4n images of ``diagram.dihedral_orbit`` read in diameter order
-a_0, b_0, a_1, b_1, ...  The DFS assigns labels in that order, so its
+Symmetry breaking and emission keep one rule, ``diagram.least_image``: the
+least of a cycle's rotations and of its reverse's, on two encodings.
+Emission (``canonical_form``) applies it to the position-order label
+cycle, and the emitted stream is pinned to that form.  The leaf
+(``is_pair_canonical``) applies it to the code cycle C = (a_t K + b_t for
+every t, then b_t K + a_t), K exceeding every label: turning the positions
+by one shifts the diameters and flips the pair that wraps, so the rotations
+of C and of C reversed are the 4n images of ``diagram.dihedral_orbit``
+read in diameter order a_0, b_0, a_1, b_1, ...  The DFS assigns labels in that order, so its
 lexicographic floors (tied rotations, pivoted reversals, a_0 <= b_0) prune
 prefixes.  While every diameter so far is symmetric (a_s = b_s), the
 pair-flipped image without rotation ties the identity, so the next
@@ -299,27 +298,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import GaleDiagram, is_minimal_cycle
+from .diagram import GaleDiagram, least_image
 from .errors import CounterexampleError, ParameterError
 
 
 def is_pair_canonical(cycle: list[int]) -> bool:
     """Is the code cycle C least among its rotations and those of its reverse?
 
-    Only rotations that start at a code at most the first one can tie or win.
+    That is ``diagram.least_image``'s rule, read on the code cycle.
     """
-    first = cycle[0]
-    m = len(cycle)
-    twice = cycle + cycle
-    for j in range(1, m):
-        if cycle[j] <= first and twice[j : j + m] < cycle:
-            return False
-    rev = cycle[::-1]
-    twice = rev + rev
-    for j in range(m):
-        if rev[j] <= first and twice[j : j + m] < cycle:
-            return False
-    return True
+    return least_image(cycle) == cycle
 
 
 def floor_rests(
@@ -512,27 +500,21 @@ def run_shard(
     leaves: list[tuple[tuple[int, ...], int, int]] = []
     nodes = 0
 
-    def labels_of(m: int) -> tuple[int, ...]:
-        # a shorter count of the run: its diameters come first
-        return tuple(av + bv) if m == n_last else tuple(av[:m] + bv[:m])
-
     def leaf(m: int, f_run: int, s_run: int, tied: bool) -> None:
         nonlocal nodes, best
         nodes += 1
         # the b loop of diameter m-1 calls this with every label of an
-        # m-diameter cycle set; adjacency and semicircle mass are already
-        # settled by its floors, and minimality and canonicality need the
-        # whole cycle.  Most leaves fail a test, so each test builds only
-        # what it reads.  A leaf whose last diameter ties no floor (not
-        # ``tied``) has every view of its cycle above or equal to the
+        # m-diameter cycle set; adjacency, semicircle mass and minimality
+        # are already settled by its floors and ceilings, and canonicality
+        # needs the whole cycle.  A leaf whose last diameter ties no floor
+        # (not ``tied``) has every view of its cycle above or equal to the
         # identity (module docstring), so only a tied one is checked
-        if want_minimal and not is_minimal_cycle(labels_of(m), k):
-            return
         if tied and not is_pair_canonical(
             codes + fcodes if m == n_last else codes[:m] + fcodes[:m]
         ):
             return
-        labels = labels_of(m)
+        # a shorter count of the run: its diameters come first
+        labels = tuple(av + bv) if m == n_last else tuple(av[:m] + bv[:m])
         gap = f_run - s_run
         if gap < 0:
             raise CounterexampleError(GaleDiagram(n=m, labels=labels), f_run, s_run)

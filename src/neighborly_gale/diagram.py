@@ -371,13 +371,15 @@ def dihedral_orbit(labels: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def least_image(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least image of a label cycle under ``dihedral_orbit``.
+    """Lexicographically least image of a cycle under ``dihedral_orbit``.
 
-    The least image starts at a least label, so only the rotations of the
-    cycle and of its reverse that start there compete.  ``tuple.index``
-    hops from one such start to the next in the doubled cycle, and each
-    image is compared with the best so far, so the pass holds one image at
-    a time.  This is the form that ``canonical_form`` and
+    The cycle may hold any comparable items: a label cycle, or the code
+    cycle of ``_core.is_pair_canonical``, a list, whose image is a list.
+    The least image starts at a least item, so only the rotations of the
+    cycle and of its reverse that start there compete.  ``index`` hops
+    from one such start to the next in the doubled cycle, and each image
+    is compared with the best so far, so the pass holds one image at a
+    time.  This is the form that ``canonical_form`` and
     ``enumerate_diagrams`` emit.
     """
     two_n = len(labels)

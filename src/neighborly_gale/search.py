@@ -13,7 +13,8 @@ per dihedral class, over spaces restricted by three prune levels:
   semicircle deficit can already be decremented, so the deficits cap the
   label loops; each older label that the new diameter's mass would make
   decrementable bars a quadrant of children, and their union caps the
-  back label per front label.  The leaf keeps the definition's test.
+  back label per front label.  These are exact, so every leaf is minimal
+  and the leaf runs no minimality test.
 * ``extremal`` -- minimal plus the local structure a gap-minimizing diagram
   must have: adjacent label sums at least 2, and a tighter diameter-count
   cap.  Justified for optima only.  Its per-n label cap, k+4-n for odd n
@@ -69,7 +70,8 @@ and more than one piece is pending, and starts a pool for the pieces left;
 ``jobs`` never exceeds the usable CPUs.  A search that finds a pool
 running, as in a ``verify_theorem1`` sweep, sends it every piece.  The
 pending pieces stay in the parent, and a pool task runs every piece it
-carries.  The split counts nodes alone, so the pieces, and every count in
+carries, through the one function that runs a piece in the parent too.
+The split counts nodes alone, so the pieces, and every count in
 ``SearchStats``, are the same at every ``jobs``.  ``multiprocessing`` is
 imported with the first pool: a process that starts none, as one that
 only runs streams, never imports it.
@@ -77,7 +79,6 @@ only runs streams, never imports it.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from collections import deque
@@ -93,7 +94,11 @@ PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 
 # Nodes that a piece searches before it hands back the subtrees it has not
 # entered: no piece of marcus k = 16 then holds more than 1.3% of its
-# nodes, and at jobs=1 the split costs no measurable time (BENCH_11.json).
+# nodes (BENCH_11.json).  At jobs=1 the split costs CPU that no pool wins
+# back: extremal k = 28 runs as 1,135 pieces of 17.5 nodes on average, 5-10%
+# slower than whole shards in 6 of 6 alternating pairs (BENCH_32.json).  It
+# stays, so that the pieces are the same at every jobs, and so that a
+# stream yields its leaves in bounded steps.
 PIECE_NODES = 2000
 # Nodes the parent searches in process before it starts a pool: the
 # break-even point C s / (s - 1) of rent or buy (Karlin, Manasse, Rudolph,
@@ -305,23 +310,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_task(pending: deque, budget: float) -> Iterator[ShardResult]:
-    """Pieces off the front of ``pending``, in process, until ``budget`` nodes are spent.
-
-    Each piece gets a budget of ``PIECE_NODES`` nodes, and the pieces it hands
-    back go to the front of ``pending``, in depth-first order.  One piece always runs.
-    """
-    spent = 0
-    while pending and spent < budget:
-        opened: list[tuple] = []
-        shard = run_shard(*pending.popleft(), PIECE_NODES, opened)
-        pending.extendleft(reversed(opened))
-        spent += shard.nodes
-        yield shard
-
-
-def _pool_task(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
-    """A task on a worker: the shard of each of its pieces, and the pieces they hand back."""
+def _run_pieces(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
+    """The shard of each piece, with a budget of ``PIECE_NODES`` nodes, and the
+    pieces they hand back, in depth-first order: a pool task, or one piece in
+    the parent."""
     opened: list[tuple] = []
     return [run_shard(*piece, PIECE_NODES, opened) for piece in pieces], opened
 
@@ -329,25 +321,31 @@ def _pool_task(pieces: list[tuple]) -> tuple[list[ShardResult], list[tuple]]:
 def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     """The shard of every piece, pieces handed back included, as each ends.
 
-    Rent or buy: while no pool runs, the parent runs the pieces itself until
-    the search ends or it has spent ``POOL_NODES`` nodes with more than one
-    piece pending, and at ``jobs`` = 1 it runs them all.  Only then does it
-    start the pool; a pool already running gets every piece.  The pending
-    pieces stay in the parent.  A pool task carries an even share of them
-    over all task slots and runs every piece it carries, so no piece travels
-    twice, and the pieces it hands back join pieces still pending: as a
-    piece's size is unknown until it runs, tasks shrink with the pending
-    pieces, and the last ones are small (factoring: Hummel, Schonberg,
-    Flynn, CACM 35(8), 1992).  Each worker has a second task queued, so it
+    Rent or buy: while no pool runs, the parent runs the pieces itself, one
+    at a time through the pool's task function, until the search ends or it
+    has spent ``POOL_NODES`` nodes with more than one piece pending, and at
+    ``jobs`` = 1 it runs them all.  Only then does it start the pool; a pool
+    already running gets every piece.  The pending pieces stay in the
+    parent, in a queue whose front takes the pieces handed back.  A pool
+    task carries an even share of them over all task slots and runs every
+    piece it carries, so no piece travels twice, and the pieces it hands
+    back join pieces still pending: as a piece's size is unknown until it
+    runs, tasks shrink with the pending pieces, and the last ones are small
+    (factoring: Hummel, Schonberg, Flynn, CACM 35(8), 1992).  Each worker has a second task queued, so it
     never waits for the parent.  How the pieces travel does not change any
     piece.  A worker's error reaches the caller as soon as the worker
     raises it.
     """
     pending = deque(pieces)
-    if workers.pool is None:
-        yield from _run_task(pending, POOL_NODES if workers.jobs > 1 else math.inf)
-        while len(pending) == 1:  # a pool of one worker would leave the parent waiting
-            yield from _run_task(pending, 1)
+    spent = 0
+    # one piece pending would give a pool of one worker, the parent waiting
+    while pending and workers.pool is None and (
+        workers.jobs == 1 or spent < POOL_NODES or len(pending) == 1
+    ):
+        (shard,), opened = _run_pieces([pending.popleft()])
+        pending.extendleft(reversed(opened))
+        spent += shard.nodes
+        yield shard
     if not pending:
         return
 
@@ -361,7 +359,7 @@ def _search(pieces: list[tuple], workers: _Workers) -> Iterator[ShardResult]:
     while pending or running:
         while pending and running < slots:
             batch = [pending.popleft() for _ in range(-(-len(pending) // slots))]
-            pool.apply_async(_pool_task, (batch,), callback=done.put, error_callback=done.put)
+            pool.apply_async(_run_pieces, (batch,), callback=done.put, error_callback=done.put)
             running += 1
         out = done.get()
         running -= 1
@@ -428,7 +426,7 @@ def verify_theorem1(k_max: int, prune_level: str = "extremal", jobs: int = 1) ->
     witness, so a completed table doubles as the facets >= vertices check.
     The whole sweep shares one pool, started when a k first needs it.
     """
-    require_ints(k_max=k_max)
+    require_ints(k_max=k_max, jobs=jobs)
     if not 2 <= k_max <= 28:
         raise ParameterError(f"k_max must be between 2 and 28, got {k_max}")
     rows = []

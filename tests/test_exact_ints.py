@@ -76,7 +76,7 @@ SURFACE = [
         ("k", "jobs", "sum_cap", "n_max"),
     ),
     (delta3_closed_form, {"k": 3}, ("k",)),
-    (verify_theorem1, {"k_max": 2}, ("k_max",)),
+    (verify_theorem1, {"k_max": 2, "jobs": 1}, ("k_max", "jobs")),
 ]
 
 CASES = [
@@ -104,6 +104,14 @@ def test_bool_or_float_raises(func, kwargs, name, bad):
         value = bad
     with pytest.raises(ParameterError, match=rf"must be integers: .*\b{name}="):
         func(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("jobs", [None, "2"])
+def test_verify_theorem1_checks_jobs_first(jobs):
+    # jobs is capped at the usable CPUs before any SearchConfig checks it;
+    # a non-int there is a parameter error, not a bare TypeError
+    with pytest.raises(ParameterError, match=r"must be integers: jobs="):
+        verify_theorem1(2, jobs=jobs)
 
 
 @pytest.mark.parametrize(

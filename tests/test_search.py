@@ -628,19 +628,10 @@ class TestMinimalStaircase:
     @pytest.mark.parametrize(
         "k,level,sum_cap", [(2, "minimal", 15), (3, "minimal", 12), (4, "extremal", None)]
     )
-    def test_parent_creates_exactly_the_minimal_children(self, k, level, sum_cap, monkeypatch):
-        failed = []
-        leaf_test = _core.is_minimal_cycle
-
-        def recorded(labels, k):
-            if not leaf_test(labels, k):
-                failed.append(labels)
-                return False
-            return True
-
-        monkeypatch.setattr(_core, "is_minimal_cycle", recorded)
+    def test_parent_creates_exactly_the_minimal_children(self, k, level, sum_cap):
         walked = _walk(k, level, sum_cap)
-        assert not failed  # every leaf the search creates is minimal
+        # every leaf the search creates is minimal
+        assert all(is_minimal_cycle(leaf[0], k) for _, shard, _ in walked for leaf in shard.leaves)
         adj = 2 if level == "extremal" else 1
         older = 0
         for args, shard, children in walked:
@@ -664,6 +655,16 @@ class TestMinimalStaircase:
                 if _adjacent(leaf[0], adj) and is_minimal_cycle(leaf[0], k):
                     assert leaf in shard.leaves, (args, leaf)
         assert older > 500
+
+    @pytest.mark.parametrize("level", ["minimal", "extremal"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_proof_tree_leaves_are_minimal(self, k, level):
+        # the multi-count trees of find_delta3, with no bound: the leaf runs
+        # no minimality test, so the ceilings and staircase alone keep every
+        # leaf minimal
+        for args in _run_args(SearchConfig(k=k, prune_level=level), None):
+            for labels, _, _ in run_shard(*args).leaves:
+                assert is_minimal_cycle(labels, k), (args, labels)
 
 
 class TestEnumerate:
@@ -1734,15 +1735,15 @@ class TestPieces:
         # the first marcus k past POOL_NODES spends that many nodes in the
         # parent and buys the pool; every later k sends it every piece
         pools = _inline_pools(monkeypatch)
-        real_pool_task = search._pool_task
+        real_apply = _InlinePool.apply_async
         in_pool = False
         runs = []  # (k, ran in a pool task, nodes)
 
-        def pool_task(pieces):
+        def apply_async(pool, func, args, callback, error_callback):
             nonlocal in_pool
             in_pool = True
             try:
-                return real_pool_task(pieces)
+                real_apply(pool, func, args, callback, error_callback)
             finally:
                 in_pool = False
 
@@ -1751,7 +1752,7 @@ class TestPieces:
             runs.append((args[0], in_pool, shard.nodes))
             return shard
 
-        monkeypatch.setattr(search, "_pool_task", pool_task)
+        monkeypatch.setattr(_InlinePool, "apply_async", apply_async)
         monkeypatch.setattr(search, "run_shard", spied)
         rows = verify_theorem1(19, prune_level="marcus", jobs=2)
         assert all(row["match"] for row in rows)
