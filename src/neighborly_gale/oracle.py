@@ -13,9 +13,10 @@ from itertools import combinations
 from .diagram import GaleDiagram
 from .errors import OracleSizeError, ParameterError, require_ints
 
-# Strict-sign threshold for the orientation determinant.  On a regular 2n-gon
-# with n <= 10 every nonzero orientation magnitude is at least sin(pi/10),
-# which is why the guard below caps n at 10.
+# Strict-sign threshold for the orientation determinant.  On the regular
+# 2n-gon the least nonzero orientation magnitude is sin(pi/n), far above
+# 1e-9 for any n, so the threshold does not limit n.  The guards below are
+# the oracle's documented domain: the label sum bounds the work of one call.
 ORIENT_EPS = 1e-9
 
 MAX_DIAMETERS = 10
@@ -73,27 +74,6 @@ def _contains_origin(pa: PlanarPoint, pb: PlanarPoint, pc: PlanarPoint) -> bool:
     return False
 
 
-_triangle_table: dict[int, frozenset[tuple[int, int, int]]] = {}
-
-
-def _valid_triangles(n: int) -> frozenset[tuple[int, int, int]]:
-    """All ascending position triples containing the origin, cached per n.
-
-    The 2n points are placed once per n, and each triple is decided on them
-    by the same strict orientation test as ``triangle_contains_origin``.
-    """
-    table = _triangle_table.get(n)
-    if table is None:
-        points = [_point_on_circle(i, n) for i in range(2 * n)]
-        table = frozenset(
-            t
-            for t, triangle in zip(combinations(range(2 * n), 3), combinations(points, 3))
-            if _contains_origin(*triangle)
-        )
-        _triangle_table[n] = table
-    return table
-
-
 def oracle_count_cofacets(diagram: GaleDiagram) -> int:
     """Count cofacets geometrically; guarded to n <= 10 and label sum <= 40."""
     n = diagram.n
@@ -107,9 +87,9 @@ def oracle_count_cofacets(diagram: GaleDiagram) -> int:
     total = diagram.center
     for i in range(n):
         total += labels[i] * labels[i + n]
+    points = [_point_on_circle(i, n) for i in range(2 * n)]
     positives = [i for i in range(2 * n) if labels[i] > 0]
-    valid = _valid_triangles(n)
-    for t in combinations(positives, 3):
-        if t in valid:
-            total += labels[t[0]] * labels[t[1]] * labels[t[2]]
+    for a, b, c in combinations(positives, 3):
+        if _contains_origin(points[a], points[b], points[c]):
+            total += labels[a] * labels[b] * labels[c]
     return total

@@ -16,19 +16,23 @@ per dihedral class, over spaces restricted by three prune levels:
   back label per front label.  These are exact, so every leaf is minimal
   and the leaf runs no minimality test.
 * ``extremal`` -- minimal plus the local structure a gap-minimizing diagram
-  must have: adjacent label sums at least 2, and a tighter diameter-count
-  cap.  Justified for optima only.  Its per-n label cap, k+4-n for odd n
-  and k+5-n for even n, follows from minimality plus adjacency.  A
-  positive label x of a minimal diagram lies in an open semicircle of
-  mass at most k+1, and the n-2 other positions of that semicircle form
-  two runs.  A run of length l holds floor(l/2) disjoint adjacent pairs,
-  each of mass at least 2, across the half boundaries too: this is the
-  adjacency-pair count.  So x is at most k+1 - 2 floor(l/2) - 2 floor(r/2)
-  with l + r = n-2, which is at most k+5-n for even n, where both runs
-  can be odd, and k+4-n for odd n.
-  Proofs therefore search under the cap k+1, and streams keep the per-n
-  cap only as an early cut: without it the ``extremal`` streams stay
-  byte-identical but take 1.8-2.9 times the nodes at k = 3..6.
+  must have: adjacent label sums at least 2, which is justified for optima
+  only.  Its per-n label cap, k+4-n for odd n and k+5-n for even n, and its
+  diameter-count cap, k+2 for even k and k+3 for odd k, follow from
+  minimality plus adjacency.  A positive label x of a minimal diagram lies
+  in an open semicircle of mass at most k+1, and the n-2 other positions of
+  that semicircle form two runs.  A run of length l holds floor(l/2)
+  disjoint adjacent pairs, each of mass at least 2, across the half
+  boundaries too: this is the adjacency-pair count.  So x is at most
+  k+1 - 2 floor(l/2) - 2 floor(r/2) with l + r = n-2, which is at most
+  k+5-n for even n, where both runs can be odd, and k+4-n for odd n.  Past
+  the count cap that label cap is at most 1, so adjacency forces all ones,
+  and the all-ones cycle has open semicircles of mass n-1 > k+1: no minimal
+  diagram is left there.  Proofs therefore search under the label cap k+1,
+  and streams keep the per-n cap only as an early cut: without it the
+  ``extremal`` streams stay byte-identical but take 1.8-2.9 times the nodes
+  at k = 3..6.  The count cap is an early cut too: lifted to the sum cap, it
+  changes no result but adds 10, 14 and 18 nodes to the k = 2, 4, 6 streams.
 
 The minimum itself is computed exactly with a branch-and-bound cut.  Each
 child diameter (a, b) gets a floor on the gap of every leaf below it: its
@@ -93,12 +97,14 @@ from .errors import ParameterError, require_ints
 PRUNE_LEVELS = ("marcus", "minimal", "extremal")
 
 # Nodes that a piece searches before it hands back the subtrees it has not
-# entered: no piece of marcus k = 16 then holds more than 1.3% of its
-# nodes (BENCH_11.json).  At jobs=1 the split costs CPU that no pool wins
-# back: extremal k = 28 runs as 1,135 pieces of 17.5 nodes on average, 5-10%
-# slower than whole shards in 6 of 6 alternating pairs (BENCH_32.json).  It
-# stays, so that the pieces are the same at every jobs, and so that a
-# stream yields its leaves in bounded steps.
+# entered: a budget, not a size.  Each subtree handed back is a piece of
+# its own, so most pieces are far smaller: the 13,618 nodes of the marcus
+# k = 16 proof run as 414 pieces, 312 of them of at most 10 nodes (median
+# 3), and the largest holds 2,000 (14.7%).  At jobs=1 the split costs CPU
+# that no pool wins back: extremal k = 28 runs as 1,135 pieces of 17.5
+# nodes on average, 5-10% slower than whole shards in 6 of 6 alternating
+# pairs (BENCH_32.json).  It stays, so that the pieces are the same at
+# every jobs, and so that a stream yields its leaves in bounded steps.
 PIECE_NODES = 2000
 # Nodes the parent searches in process before it starts a pool: the
 # break-even point C s / (s - 1) of rent or buy (Karlin, Manasse, Rudolph,
@@ -117,10 +123,10 @@ POOL_NODES = 20700
 class SearchConfig:
     """Parameters of one search run.
 
-    ``sum_cap`` and ``n_max`` override the default search-space caps (label
-    sum 4(k+1), which also bounds the diameter count).  Tests use them to
-    scan slack spaces beyond the default caps, and ``sum_cap`` also defines
-    the benchmark's stream workloads (k = 2 at sum cap 15).
+    ``sum_cap`` overrides the default label-sum cap 4(k+1), which also
+    bounds the diameter count.  Tests use it to scan slack spaces beyond the
+    default cap, and it defines the benchmark's stream workloads (k = 2 at
+    sum cap 15).
     """
 
     k: int
@@ -128,11 +134,10 @@ class SearchConfig:
     emit_all: bool = False
     jobs: int = 1
     sum_cap: int | None = None
-    n_max: int | None = None
 
     def __post_init__(self):
-        caps = {"sum_cap": self.sum_cap, "n_max": self.n_max}
-        require_ints(k=self.k, jobs=self.jobs, **{c: v for c, v in caps.items() if v is not None})
+        cap = {} if self.sum_cap is None else {"sum_cap": self.sum_cap}
+        require_ints(k=self.k, jobs=self.jobs, **cap)
         if type(self.emit_all) is not bool:
             raise ParameterError(f"emit_all must be a bool, got {self.emit_all!r}")
         if self.k < 2:
@@ -143,8 +148,6 @@ class SearchConfig:
             raise ParameterError(f"jobs must be >= 1, got {self.jobs}")
         if self.sum_cap is not None and self.sum_cap < 2 * (self.k + 1):
             raise ParameterError("sum_cap below 2(k+1) leaves an empty space")
-        if self.n_max is not None and self.n_max < 2:
-            raise ParameterError("n_max must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,6 @@ def _n_range(config: SearchConfig) -> range:
     hi = _sum_cap(config)  # P3 forces label sum >= n
     if config.prune_level == "extremal":
         hi = min(hi, k + 2 if k % 2 == 0 else k + 3)
-    if config.n_max is not None:
-        hi = min(hi, config.n_max)
     return range(2, hi + 1)
 
 

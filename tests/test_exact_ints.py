@@ -70,11 +70,7 @@ SURFACE = [
     (is_minimal_cycle, {"labels": (1,) * 8, "k": 2}, ("k",)),
     (triangle_contains_origin, {"a": 0, "b": 2, "c": 4, "n": 3}, ("a", "b", "c", "n")),
     (point_on_circle, {"i": 1, "n": 3}, ("i", "n")),
-    (
-        SearchConfig,
-        {"k": 3, "jobs": 1, "sum_cap": 20, "n_max": 4},
-        ("k", "jobs", "sum_cap", "n_max"),
-    ),
+    (SearchConfig, {"k": 3, "jobs": 1, "sum_cap": 20}, ("k", "jobs", "sum_cap")),
     (delta3_closed_form, {"k": 3}, ("k",)),
     (verify_theorem1, {"k_max": 2, "jobs": 1}, ("k_max", "jobs")),
 ]

@@ -1,7 +1,7 @@
 """Geometric counter: orientation predicate and agreement with the fast count."""
 import math
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from neighborly_gale.diagram import GaleDiagram, count_cofacets
 from neighborly_gale.errors import OracleSizeError, ParameterError
 from neighborly_gale.oracle import (
     MAX_DIAMETERS,
-    _valid_triangles,
     oracle_count_cofacets,
     point_on_circle,
     triangle_contains_origin,
@@ -59,7 +58,7 @@ class TestGeometry:
                     assert triangle_contains_origin(*rotated, n=n) == reference
 
     def test_matches_gap_rule(self):
-        for n in range(2, 9):
+        for n in range(2, MAX_DIAMETERS + 1):
             two_n = 2 * n
             for a in range(two_n - 2):
                 for b in range(a + 1, two_n - 1):
@@ -68,13 +67,6 @@ class TestGeometry:
                             b - a < n and c - b < n and two_n - (c - a) < n
                         )
                         assert triangle_contains_origin(a, b, c, n=n) == gaps_ok
-
-    def test_tables_match_the_public_test(self):
-        # the oracle's per-n tables hold exactly the triples that
-        # triangle_contains_origin accepts, for every n its guard admits
-        for n in range(1, MAX_DIAMETERS + 1):
-            triples = combinations(range(2 * n), 3)
-            assert _valid_triangles(n) == {t for t in triples if triangle_contains_origin(*t, n=n)}
 
 
 class TestOracleCount:

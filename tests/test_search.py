@@ -11,7 +11,7 @@ import sys
 import textwrap
 import time
 from functools import cache
-from itertools import islice, product
+from itertools import islice, product, takewhile
 from multiprocessing import Pool, active_children, get_start_method
 from unittest.mock import patch
 
@@ -88,9 +88,8 @@ class TestConfig:
             {"k": 3, "jobs": 1.5},
             {"k": 3, "jobs": True},
             {"k": 3, "sum_cap": 20.0},
-            {"k": 3, "n_max": 2.5},
         ],
-        ids=["k-float", "k-bool", "jobs-float", "jobs-bool", "sum_cap-float", "n_max-float"],
+        ids=["k-float", "k-bool", "jobs-float", "jobs-bool", "sum_cap-float"],
     )
     def test_rejects_non_integers(self, kwargs):
         # exact ints, as GaleDiagram requires: a float or a bool would get
@@ -311,6 +310,15 @@ def _assert_dropped_children_are_not_minimal(labels, k):
             assert not _minimal_prefix(child, k), child
 
 
+def _stream_up_to(config, n_hi):
+    """The stream of ``config`` up to ``n_hi`` diameters (all of it for None).
+
+    The stream comes grouped by ascending diameter count.
+    """
+    stream = enumerate_diagrams(config)
+    return stream if n_hi is None else takewhile(lambda d: d.n <= n_hi, stream)
+
+
 class TestMinimalCut:
     @given(
         st.integers(2, 7).flatmap(
@@ -406,10 +414,10 @@ class TestMinimalCut:
     def test_label_ceilings_drop_only_children_that_are_not_minimal(self, labels, k):
         _assert_dropped_children_are_not_minimal(labels, k)
 
-    @pytest.mark.parametrize("k,n_max", [(2, None), (3, 5)])
-    def test_minimal_stream_is_filtered_marcus_stream(self, k, n_max):
-        marcus = enumerate_diagrams(SearchConfig(k=k, prune_level="marcus", n_max=n_max))
-        minimal = enumerate_diagrams(SearchConfig(k=k, prune_level="minimal", n_max=n_max))
+    @pytest.mark.parametrize("k,n_hi", [(2, None), (3, 5)])
+    def test_minimal_stream_is_filtered_marcus_stream(self, k, n_hi):
+        marcus = _stream_up_to(SearchConfig(k=k, prune_level="marcus"), n_hi)
+        minimal = _stream_up_to(SearchConfig(k=k, prune_level="minimal"), n_hi)
         assert list(minimal) == [d for d in marcus if is_minimal(d, k)]
 
 
@@ -746,14 +754,35 @@ class TestEnumerate:
         n_hi = _n_range(extremal)[-1]
         expected = {
             (d.n, d.labels)
-            for d in enumerate_diagrams(
-                SearchConfig(k=k, prune_level="minimal", n_max=n_hi)
-            )
+            for d in _stream_up_to(SearchConfig(k=k, prune_level="minimal"), n_hi)
             if max(d.labels) <= _label_cap(extremal, d.n)
             and all(d.labels[i - 1] + d.labels[i] >= 2 for i in range(2 * d.n))
         }
         got = {(d.n, d.labels) for d in enumerate_diagrams(extremal)}
         assert got == expected
+
+    def test_extremal_count_cap_removes_no_diagram(self):
+        # the count cap is the last count whose label cap is at least 2: past
+        # it labels are at most 1, adjacency forces all ones, and the all-ones
+        # cycle has semicircles of mass n-1 > k+1, so it is not minimal
+        for k in range(2, 41):
+            config = SearchConfig(k=k, prune_level="extremal")
+            counts = range(2, _sum_cap(config) + 1)
+            assert _n_range(config)[-1] == max(n for n in counts if _label_cap(config, n) >= 2)
+        for k in range(2, 7):
+            config = SearchConfig(k=k, prune_level="extremal")
+            sum_cap = _sum_cap(config)
+            past = [
+                n
+                for n in range(_n_range(config)[-1] + 1, sum_cap + 1)
+                if _label_cap(config, n) >= 1
+            ]
+            assert past == ([k + 3, k + 4] if k % 2 == 0 else [])
+            for n in past:
+                cap = _label_cap(config, n)
+                for first in range(cap + 1):
+                    shard = run_shard(k, n, first, "extremal", sum_cap, cap, None, n, (), ())
+                    assert shard.leaves == []
 
     @pytest.mark.parametrize("level", ["marcus", "minimal"])
     @pytest.mark.parametrize("k,n_hi", [(2, 4), (4, 3)])
@@ -766,7 +795,7 @@ class TestEnumerate:
         }
         got = {
             (d.n, d.labels)
-            for d in enumerate_diagrams(SearchConfig(k=k, prune_level=level, n_max=n_hi))
+            for d in _stream_up_to(SearchConfig(k=k, prune_level=level), n_hi)
         }
         assert got == expected
 

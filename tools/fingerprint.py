@@ -16,7 +16,7 @@ row that changed.
   (one JSON diagram a line, in stream order), and the nodes and
   ``run_shard`` calls, summed by wrapping ``search.run_shard``.
 
-It takes about 15 s on a 2-core host with CPython 3.11.
+It takes 10 to 12 s on a 2-core host with CPython 3.11.
 """
 from __future__ import annotations
 
